@@ -13,6 +13,7 @@ import json
 import re
 import sys
 
+from .checked import as_uint
 from .core import board_from_stones, play_sequence
 from .crt import Infeasible, PartialConstraint, reconstruct, reconstruct_minimal
 from .graph import (
@@ -67,7 +68,7 @@ def cmd_board(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    boards = [board_from_stones(n) for n in range(args.n_max + 1)]
+    boards = [board_from_stones(n) for n in range(as_uint(args.n_max, "n_max") + 1)]
     max_length = boards[-1].length
     columns = args.bins if args.bins is not None else max_length
     if columns < max_length:

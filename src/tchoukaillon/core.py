@@ -9,12 +9,24 @@ plays and unplays it, and exposes the periodicity of the bin columns.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .checked import UINT128_MAX, ensure_stone_count
+from .checked import UINT128_MAX, as_uint
 
 PLAY_SEQUENCE_CAP = 10_000_000
+
+# Longest board board_from_stones builds: it admits n up to about 7e13
+# stones (~1.5e7 bins).  A board near the 128-bit limit has ~1e19 bins.
+_MAX_BOARD_BINS = 1 << 24
+
+
+def _trim(bins: tuple[int, ...]) -> tuple[int, ...]:
+    end = len(bins)
+    while end and bins[end - 1] == 0:
+        end -= 1
+    return bins if end == len(bins) else bins[:end]
 
 
 @dataclass(frozen=True)
@@ -31,11 +43,15 @@ class Board:
     def __post_init__(self) -> None:
         bins = tuple(self.bins)
         for count in bins:
-            if not isinstance(count, int) or count < 0:
-                raise ValueError(f"bin counts must be non-negative integers, got {count!r}")
-        while bins and bins[-1] == 0:
-            bins = bins[:-1]
-        object.__setattr__(self, "bins", bins)
+            as_uint(count, "bin count")
+        object.__setattr__(self, "bins", _trim(bins))
+
+    @classmethod
+    def _trusted(cls, bins: tuple[int, ...]) -> "Board":
+        # Bins the library derived itself: trimmed, but not re-checked.
+        board = object.__new__(cls)
+        object.__setattr__(board, "bins", _trim(bins))
+        return board
 
     @property
     def stones(self) -> int:
@@ -49,7 +65,7 @@ class Board:
 
     def bin(self, i: int) -> int:
         """Stones in 1-based bin *i*; bins beyond the stored length are empty."""
-        if i < 1:
+        if as_uint(i, "bin index") < 1:
             raise ValueError("bins are numbered from 1")
         return self.bins[i - 1] if i <= len(self.bins) else 0
 
@@ -67,21 +83,32 @@ class Board:
 EMPTY_BOARD = Board()
 
 
+def _residue_walk(n: int) -> Iterator[int]:
+    i = 2
+    while n:
+        count = n % i
+        yield count
+        n -= count
+        i += 1
+
+
 def board_from_stones(n: int) -> Board:
     """The unique winning board with *n* stones, built without unplaying.
 
     Bin i receives ``(n - sum of earlier bins) mod (i + 1)``, which keeps
-    every prefix sum congruent to n modulo i + 1.
+    every prefix sum congruent to n modulo i + 1.  Raises OverflowError,
+    before building anything, when the board could exceed the bin budget.
     """
-    remaining = ensure_stone_count(n)
-    bins = []
-    i = 1
-    while remaining > 0:
-        count = remaining % (i + 1)
-        bins.append(count)
-        remaining -= count
-        i += 1
-    return Board(tuple(bins))
+    as_uint(n, "stone count")
+    # A board of length L holds at least L + (L-2) + (L-4) + ... >= L^2/4
+    # stones (the lower bound of length.check_bounds), so L <= 2*isqrt(n) + 1.
+    bound = 2 * math.isqrt(n) + 1
+    if bound > _MAX_BOARD_BINS:
+        raise OverflowError(
+            f"the board with {n} stones may have up to {bound} bins, "
+            f"beyond the budget of {_MAX_BOARD_BINS}"
+        )
+    return Board._trusted(tuple(_residue_walk(n)))
 
 
 def leftmost_empty(board: Board) -> int:
@@ -122,7 +149,7 @@ def unplay(board: Board) -> Board:
     for j in range(p - 1):
         bins[j] -= 1
     bins[p - 1] = p
-    return Board(tuple(bins))
+    return Board._trusted(tuple(bins))
 
 
 def play(board: Board) -> tuple[Board, int]:
@@ -140,7 +167,7 @@ def play(board: Board) -> tuple[Board, int]:
     bins[target - 1] = 0
     for j in range(target - 1):
         bins[j] += 1
-    return Board(tuple(bins)), target
+    return Board._trusted(tuple(bins)), target
 
 
 def _first_empty_bin_of(n: int) -> int:
@@ -162,8 +189,8 @@ def play_sequence(n: int, cap: int = PLAY_SEQUENCE_CAP) -> list[int]:
     Move k clears one stone, so the sequence has length n.  Refuses n
     above *cap* to bound memory.
     """
-    ensure_stone_count(n)
-    if n > cap:
+    as_uint(n, "stone count")
+    if n > as_uint(cap, "move cap"):
         raise ValueError(f"play_sequence refuses n={n} above the cap of {cap} moves")
     return [_first_empty_bin_of(k) for k in range(n - 1, -1, -1)]
 
@@ -180,7 +207,7 @@ def _max_period_index() -> int:
 
 def minimal_period(i: int) -> int:
     """Exact period of the first *i* bin columns as a function of n: lcm(2..i+1)."""
-    if i < 1:
+    if as_uint(i, "column count") < 1:
         raise ValueError("minimal_period requires i >= 1")
     value = 1
     for m in range(2, i + 2):

@@ -17,7 +17,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
-from .checked import check_uint128
+from .checked import as_uint
 from .core import Board, board_from_stones
 
 COMPLETION_CAP = 1_000_000
@@ -59,9 +59,11 @@ class RemainderBoard:
 
     def __post_init__(self) -> None:
         residues = tuple(self.residues)
+        if self.n is not None:
+            as_uint(self.n, "stone count")
         for offset, value in enumerate(residues):
             modulus = offset + 2
-            if not 0 <= value < modulus:
+            if not as_uint(value, f"residue mod {modulus}") < modulus:
                 raise ValueError(f"residue {value} out of range for modulus {modulus}")
             if self.n is not None and self.n % modulus != value:
                 raise ValueError(f"residue {value} does not match {self.n} mod {modulus}")
@@ -93,7 +95,7 @@ class IncreasingRemainderBoard:
         previous = 0
         for offset, value in enumerate(values):
             modulus = offset + 2
-            if not 0 <= value - previous < modulus:
+            if not 0 <= as_uint(value, f"entry at modulus {modulus}") - previous < modulus:
                 raise ValueError(
                     f"entry {value} at modulus {modulus} must lie within "
                     f"[{previous}, {previous + modulus})"
@@ -124,14 +126,17 @@ class PartialConstraint:
 
     def __post_init__(self) -> None:
         raw = self.entries
-        pairs = sorted(raw.items()) if isinstance(raw, Mapping) else sorted(tuple(p) for p in raw)
+        pairs = sorted(
+            (as_uint(index, "constraint index"), as_uint(count, f"count at index {index}"))
+            for index, count in (raw.items() if isinstance(raw, Mapping) else raw)
+        )
         seen = set()
         for index, count in pairs:
             if index < 2:
                 raise ValueError(f"constraint indices start at 2, got {index}")
             if index in seen:
                 raise ValueError(f"duplicate constraint for index {index}")
-            if not 0 <= count < index:
+            if count >= index:
                 raise ValueError(f"count {count} out of range [0, {index}) at index {index}")
             seen.add(index)
         object.__setattr__(self, "entries", tuple(pairs))
@@ -157,28 +162,25 @@ class PartialConstraint:
         indexing = doc.pop("indexing", None)
         if indexing != CONSTRAINT_INDEXING:
             raise ValueError(f'constraint JSON must carry "indexing": "{CONSTRAINT_INDEXING}"')
-        try:
-            pairs = [(int(key), int(value)) for key, value in doc.items()]
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed constraint entry: {exc}") from None
-        return cls(pairs)
+        for key in doc:
+            if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+                raise ValueError(f"constraint index must be a decimal integer, got {key!r}")
+        return cls((int(key), value) for key, value in doc.items())
 
 
 def remainder_board(n: int, k: int) -> RemainderBoard:
     """Residues of n modulo 2..k."""
-    if k < 2:
+    as_uint(n, "stone count")
+    if as_uint(k, "modulus") < 2:
         raise ValueError("remainder boards start at modulus 2")
-    if n < 0:
-        raise ValueError("n must be non-negative")
     return RemainderBoard(tuple(n % i for i in range(2, k + 1)), n=n)
 
 
 def increasing_remainder_board(n: int, k: int) -> IncreasingRemainderBoard:
     """Minimal weakly increasing sequence matching n modulo 2..k."""
-    if k < 2:
+    as_uint(n, "stone count")
+    if as_uint(k, "modulus") < 2:
         raise ValueError("remainder boards start at modulus 2")
-    if n < 0:
-        raise ValueError("n must be non-negative")
     values = []
     previous = 0
     for i in range(2, k + 1):
@@ -194,12 +196,12 @@ def board_from_increasing(lift: IncreasingRemainderBoard) -> Board:
     for value in lift.values:
         diffs.append(value - previous)
         previous = value
-    return Board(tuple(diffs))
+    return Board._trusted(tuple(diffs))
 
 
 def shifted_prefix(board: Board, k: int) -> tuple[int, ...]:
     """Bins 1..k-1 of a core board, re-indexed to the shifted convention m_2..m_k."""
-    if k < 2:
+    if as_uint(k, "prefix index") < 2:
         raise ValueError("prefixes start at index 2")
     return tuple(board.bin(i - 1) for i in range(2, k + 1))
 
@@ -240,7 +242,7 @@ def crt_solve(system: Iterable[Congruence]) -> tuple[int, int]:
                 witness=pair,
             )
         lcm = modulus // g * congruence.modulus
-        check_uint128(lcm, "congruence system period")
+        as_uint(lcm, "congruence system period")
         step = congruence.modulus // g
         t = 0
         if step > 1:
@@ -285,7 +287,7 @@ def consistency_conditions(k: int) -> list[tuple[int, int]]:
     Condition (i, d) requires m_i + m_{i-1} + ... + m_{i-d+1} to be
     divisible by d, for each nontrivial proper prime-power divisor d of i.
     """
-    if k < 2:
+    if as_uint(k, "prefix index") < 2:
         raise ValueError("prefixes start at index 2")
     return [(i, d) for i in range(2, k + 1) for d in prime_power_divisors(i)]
 
@@ -299,7 +301,7 @@ def allowable_check(values: Iterable[int]) -> tuple[bool, list[tuple[int, int]]]
     k = len(values) + 1
     for offset, count in enumerate(values):
         index = offset + 2
-        if not 0 <= count < index:
+        if as_uint(count, f"count at index {index}") >= index:
             raise ValueError(f"count {count} out of range [0, {index}) at index {index}")
     violations = []
     if k >= 2:

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .checked import check_uint128
+from .checked import as_uint
 
 DEFAULT_BOARD_CAP = 10_000
 
@@ -39,20 +39,24 @@ class SowingGraph:
     ruma: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 1:
+        if as_uint(self.vertex_count, "vertex count") < 1:
             raise ValueError("a sowing graph needs at least one vertex")
-        edge_list = [tuple(e) for e in self.edges]
+        edge_list = []
+        for edge in self.edges:
+            if not isinstance(edge, (tuple, list)) or len(edge) != 2:
+                raise ValueError(f"an edge is a (source, target) pair, got {edge!r}")
+            edge_list.append((as_uint(edge[0], "edge source"), as_uint(edge[1], "edge target")))
         edges = frozenset(edge_list)
         if len(edges) < len(edge_list):
             raise ValueError("parallel edges are not allowed")
         for a, b in edges:
-            if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
+            if not (a < self.vertex_count and b < self.vertex_count):
                 raise ValueError(f"edge ({a}, {b}) references a missing vertex")
-        ruma = frozenset(self.ruma)
+        ruma = frozenset(as_uint(r, "Ruma vertex") for r in self.ruma)
         if not ruma:
             raise ValueError("the Ruma set must be nonempty")
         for r in ruma:
-            if not 0 <= r < self.vertex_count:
+            if r >= self.vertex_count:
                 raise ValueError(f"Ruma vertex {r} does not exist")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "ruma", ruma)
@@ -70,7 +74,7 @@ class SowingGraph:
         return tuple(v for v in range(self.vertex_count) if v not in self.ruma)
 
     def zero_board(self) -> "GraphBoard":
-        return GraphBoard((0,) * self.vertex_count)
+        return GraphBoard._trusted((0,) * self.vertex_count)
 
     def board_with_bins(self, bin_labels: tuple[int, ...]) -> "GraphBoard":
         """Board with the given non-Ruma labels (id order) and empty stores."""
@@ -100,15 +104,13 @@ class SowingGraph:
     def from_json(cls, data: object) -> "SowingGraph":
         if not isinstance(data, dict):
             raise ValueError("sowing graph JSON must be an object")
-        try:
-            vertices = int(data["vertices"])
-            edges = frozenset((int(a), int(b)) for a, b in data["edges"])
-            ruma = frozenset(int(r) for r in data["ruma"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed sowing graph JSON: {exc}") from None
-        if isinstance(data["edges"], list) and len(data["edges"]) != len(edges):
-            raise ValueError("parallel edges are not allowed")
-        return cls(vertices, edges, ruma)
+        for key in ("vertices", "edges", "ruma"):
+            if key not in data:
+                raise ValueError(f'sowing graph JSON lacks "{key}"')
+        for key in ("edges", "ruma"):
+            if not isinstance(data[key], list):
+                raise ValueError(f'sowing graph JSON "{key}" must be an array')
+        return cls(data["vertices"], data["edges"], data["ruma"])
 
 
 @dataclass(frozen=True)
@@ -120,9 +122,15 @@ class GraphBoard:
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
         for count in labels:
-            if not isinstance(count, int) or count < 0:
-                raise ValueError(f"labels must be non-negative integers, got {count!r}")
+            as_uint(count, "vertex label")
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def _trusted(cls, labels: tuple[int, ...]) -> "GraphBoard":
+        # Labels the library derived itself: not re-checked.
+        board = object.__new__(cls)
+        object.__setattr__(board, "labels", labels)
+        return board
 
 
 @dataclass(frozen=True, order=True)
@@ -166,6 +174,7 @@ def sow_move(graph: SowingGraph, board: GraphBoard, v: int, path: tuple[int, ...
     The walk's edge-length must equal the label of v; every vertex stepped
     on (Rumas included, revisits counted) gains one stone.
     """
+    as_uint(v, "sown vertex")
     path = tuple(path)
     if v in graph.ruma:
         raise IllegalMoveError("cannot sow from a Ruma vertex")
@@ -183,7 +192,7 @@ def sow_move(graph: SowingGraph, board: GraphBoard, v: int, path: tuple[int, ...
     labels[v] = 0
     for w in path[1:]:
         labels[w] += 1
-    return GraphBoard(tuple(labels))
+    return GraphBoard._trusted(tuple(labels))
 
 
 def unplay_move(
@@ -196,6 +205,8 @@ def unplay_move(
     stones taken from a Ruma come out of its captures, which never block
     the move.
     """
+    as_uint(v, "refilled vertex")
+    as_uint(r, "Ruma vertex")
     path = tuple(path)
     if v in graph.ruma:
         raise IllegalMoveError("cannot unplay into a Ruma vertex")
@@ -215,7 +226,7 @@ def unplay_move(
     if labels[v] != 0:
         raise IllegalMoveError(f"the walk must consume the label of vertex {v} exactly")
     labels[v] = len(path) - 1
-    return GraphBoard(tuple(labels))
+    return GraphBoard._trusted(tuple(labels))
 
 
 def _strongly_connected_components(graph: SowingGraph) -> list[list[int]]:
@@ -334,7 +345,7 @@ def enumerate_winning_boards(graph: SowingGraph, cap: int = DEFAULT_BOARD_CAP) -
     most *cap* boards, with per-unmove walk lengths capped at
     cap * vertex_count.
     """
-    if cap < 1:
+    if as_uint(cap, "board cap") < 1:
         raise ValueError("cap must be >= 1")
     finite, _ = has_finite_game_graph(graph)
     zero = graph.zero_board()
@@ -370,7 +381,7 @@ def enumerate_winning_boards(graph: SowingGraph, cap: int = DEFAULT_BOARD_CAP) -
 
 def make_path(length: int) -> SowingGraph:
     """Directed path of *length* bins feeding a single Ruma sink: the linear game."""
-    if length < 1:
+    if as_uint(length, "path length") < 1:
         raise ValueError("length must be >= 1")
     edges = {(1, 0)} | {(i, i - 1) for i in range(2, length + 1)}
     return SowingGraph(length + 1, frozenset(edges), frozenset({0}))
@@ -378,7 +389,7 @@ def make_path(length: int) -> SowingGraph:
 
 def make_cycle(length: int) -> SowingGraph:
     """Directed cycle on *length* vertices, one of which is the Ruma."""
-    if length < 1:
+    if as_uint(length, "cycle length") < 1:
         raise ValueError("length must be >= 1")
     edges = {(i, i - 1) for i in range(1, length)} | {(0, length - 1)}
     return SowingGraph(length, frozenset(edges), frozenset({0}))
@@ -386,7 +397,7 @@ def make_cycle(length: int) -> SowingGraph:
 
 def make_star(spokes: int, length: int) -> SowingGraph:
     """Star of *spokes* directed paths of *length* bins, Ruma at the center."""
-    if spokes < 1 or length < 1:
+    if as_uint(spokes, "spoke count") < 1 or as_uint(length, "spoke length") < 1:
         raise ValueError("spokes and length must be >= 1")
     edges = set()
     for s in range(spokes):
@@ -404,16 +415,16 @@ def cycle_attained_counts(length: int, board_limit: int) -> list[int]:
     vertex, wrapping the cycle once per stone already on it.  Not every
     integer appears among the totals.
     """
-    if length < 2:
+    if as_uint(length, "cycle length") < 2:
         raise ValueError("cycle_attained_counts requires length >= 2")
-    if board_limit < 1:
+    if as_uint(board_limit, "board limit") < 1:
         raise ValueError("board_limit must be >= 1")
     graph = make_cycle(length)
     board = graph.zero_board()
     totals = [0]
     while len(totals) < board_limit:
         board = _cycle_unplay(graph, board, length)
-        totals.append(check_uint128(graph.stones(board), "cycle stone total"))
+        totals.append(as_uint(graph.stones(board), "cycle stone total"))
     return totals
 
 

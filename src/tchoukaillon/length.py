@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .checked import check_uint128
+from .checked import as_uint
 from .core import Board
 
 
@@ -22,9 +22,7 @@ def enumerate_boards(length: int) -> Iterator[Board]:
     Depth-first with the smaller count explored first, which makes the
     output order coincide with increasing total stones.
     """
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    if length == 0:
+    if as_uint(length, "board length") == 0:
         yield Board()
         return
     bins = [0] * length
@@ -32,7 +30,7 @@ def enumerate_boards(length: int) -> Iterator[Board]:
 
     def descend(i: int, suffix: int) -> Iterator[Board]:
         if i == 0:
-            yield Board(tuple(bins))
+            yield Board._trusted(tuple(bins))
             return
         forced = (-suffix) % i
         for count in ((0, i) if forced == 0 else (forced,)):
@@ -49,17 +47,17 @@ def min_stones(length: int) -> int:
     ``length``, repeatedly raise to the next multiple of i for
     i = length-1 down to 1.
     """
-    if length < 1:
+    if as_uint(length, "board length") < 1:
         raise ValueError("min_stones requires length >= 1")
     value = length
     for i in range(length - 1, 0, -1):
         value = -(-value // i) * i
-    return check_uint128(value, "minimum stone count")
+    return as_uint(value, "minimum stone count")
 
 
 def min_stones_sequence(max_length: int) -> list[int]:
     """The sequence min_stones(1), ..., min_stones(max_length) (OEIS A002491)."""
-    if max_length < 1:
+    if as_uint(max_length, "board length") < 1:
         raise ValueError("min_stones_sequence requires max_length >= 1")
     return [min_stones(length) for length in range(1, max_length + 1)]
 
@@ -70,9 +68,9 @@ def check_bounds(length: int) -> tuple[int, int, int]:
     The lower bound sums the forced far-end counts length - 2i; the upper
     bound is the full-board total length(length+1)/2.
     """
-    if length < 2:
+    if as_uint(length, "board length") < 2:
         raise ValueError("check_bounds requires length >= 2")
     lower = sum(length - 2 * i for i in range(length // 2 + 1))
     upper = length * (length + 1) // 2
     value = min_stones(length)
-    return lower, value, check_uint128(upper, "upper bound")
+    return lower, value, as_uint(upper, "upper bound")

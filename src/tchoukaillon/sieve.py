@@ -8,7 +8,7 @@ stage k sitting at positions 1, (k+1)+1, 2(k+1)+1, ...
 
 from __future__ import annotations
 
-from .checked import ensure_stone_count
+from .checked import as_uint
 
 SCAN_CAP = 1_000_000
 
@@ -19,8 +19,7 @@ def first_played_bin(n: int) -> int:
     Equals the smallest i whose bin holds exactly i stones; the last bin
     always does, so the scan terminates.
     """
-    ensure_stone_count(n)
-    if n < 1:
+    if as_uint(n, "stone count") < 1:
         raise ValueError("first_played_bin requires n >= 1")
     remaining = n
     i = 1
@@ -34,10 +33,11 @@ def first_played_bin(n: int) -> int:
 
 def sieve_stage(k: int, count: int, scan_cap: int = SCAN_CAP) -> list[int]:
     """First *count* elements of stage k, by direct scan over stone counts."""
-    if k < 1:
+    if as_uint(k, "sieve stage") < 1:
         raise ValueError("sieve stages are numbered from 1")
-    if count < 1:
+    if as_uint(count, "element count") < 1:
         raise ValueError("count must be >= 1")
+    as_uint(scan_cap, "scan cap")
     out: list[int] = []
     n = 0
     while len(out) < count:
@@ -57,6 +57,6 @@ def sieve_step(stage: list[int], k: int) -> list[int]:
     Removes the entries at 1-based positions j(k+1)+1 for j >= 0 and
     re-indexes the rest.
     """
-    if k < 1:
+    if as_uint(k, "sieve stage") < 1:
         raise ValueError("sieve stages are numbered from 1")
     return [value for pos, value in enumerate(stage) if pos % (k + 1) != 0]

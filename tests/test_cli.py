@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tchoukaillon import Board, board_from_stones
+from tchoukaillon import UINT128_MAX, Board, board_from_stones
 from tchoukaillon.cli import main
 
 from golden import INITIAL_BOARDS
@@ -61,6 +64,12 @@ class TestBoardCommand:
         assert code == 2
         assert "error" in err
 
+    def test_beyond_bin_budget_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "board", str(UINT128_MAX))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "budget" in err
+
 
 class TestTableCommand:
     def test_golden_table_17(self, capsys):
@@ -89,6 +98,11 @@ class TestTableCommand:
     def test_bins_override(self, capsys):
         _, out, _ = run(capsys, "table", "1", "--bins", "3")
         assert out == "n l b1 b2 b3\n0 0  0  0  0\n1 1  1  0  0\n"
+
+    def test_negative_n_max_rejected(self, capsys):
+        code, _, err = run(capsys, "table", "-1")
+        assert code == 2
+        assert "n_max" in err
 
     def test_bins_too_small_rejected(self, capsys):
         code, _, err = run(capsys, "table", "17", "--bins", "2")
@@ -155,6 +169,14 @@ class TestReconstructCommand:
         code, out, _ = run(capsys, "reconstruct", "--file", str(path), "--minimal")
         assert code == 0
         assert out.splitlines()[0] == "n=34"
+
+    def test_file_with_non_integer_count(self, capsys, tmp_path):
+        path = tmp_path / "pc.json"
+        path.write_text('{"indexing": "paper-section-4", "3": 1.7, "7": 2}')
+        code, out, err = run(capsys, "reconstruct", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert "count at index 3" in err
 
     def test_bad_pair_syntax(self, capsys):
         code, _, err = run(capsys, "reconstruct", "3=1")
@@ -259,3 +281,60 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc_info:
             main(["board", "x"])
         assert exc_info.value.code == 2
+
+
+# JSON scalars of every kind: ints below, inside and above the 128-bit
+# range, and the non-integers that must never be read as counts.
+SMALL_INTS = st.integers(min_value=0, max_value=8)
+NON_INTEGERS = st.one_of(st.floats(), st.booleans(), st.text(max_size=3), st.none())
+SCALARS = st.one_of(
+    SMALL_INTS,
+    st.integers(max_value=-1),
+    st.integers(min_value=UINT128_MAX + 1, max_value=2 * UINT128_MAX),
+    NON_INTEGERS,
+)
+
+
+def non_integer(value) -> bool:
+    return not isinstance(value, int) or isinstance(value, bool)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def main_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestInputFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        values=st.dictionaries(st.integers(min_value=2, max_value=8), SCALARS, min_size=1, max_size=4),
+        minimal=st.booleans(),
+    )
+    def test_constraint_files(self, fuzz_dir, values, minimal):
+        doc = {"indexing": "paper-section-4", **{str(i): v for i, v in values.items()}}
+        path = fuzz_dir / "pc.json"
+        path.write_text(json.dumps(doc))
+        code = main_quietly(["reconstruct", "--file", str(path)] + (["--minimal"] if minimal else []))
+        assert code in (0, 1, 2)
+        if any(non_integer(v) for v in values.values()):
+            assert code == 2
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        vertices=SCALARS.filter(lambda v: non_integer(v) or not 6 < v <= UINT128_MAX),
+        edges=st.lists(st.tuples(SCALARS, SCALARS), max_size=8),
+        ruma=st.lists(SCALARS, max_size=3),
+    )
+    def test_graph_files(self, fuzz_dir, vertices, edges, ruma):
+        doc = {"vertices": vertices, "edges": [list(e) for e in edges], "ruma": ruma}
+        path = fuzz_dir / "graph.json"
+        path.write_text(json.dumps(doc))
+        code = main_quietly(["graph", str(path), "check-finite"])
+        assert code in (0, 1, 2)
+        if any(non_integer(v) for v in [vertices, *ruma, *(x for e in edges for x in e)]):
+            assert code == 2

@@ -1,5 +1,10 @@
+import math
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from tchoukaillon import core
 
 from tchoukaillon import (
     Board,
@@ -11,6 +16,7 @@ from tchoukaillon import (
     play_sequence,
     unplay,
 )
+from tchoukaillon.checked import as_uint
 from tchoukaillon.core import _max_period_index
 
 from golden import INITIAL_BOARDS, PLAY_SEQUENCE_6
@@ -25,6 +31,17 @@ class TestBoard:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Board((1, -1))
+
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", None])
+    def test_rejects_non_integer_bins(self, bad):
+        with pytest.raises(ValueError, match="bin count"):
+            Board((bad,))
+
+    def test_trims_many_trailing_zeros_in_linear_time(self):
+        start = time.perf_counter()
+        board = Board((1,) + (0,) * 100_000)
+        assert time.perf_counter() - start < 0.5
+        assert board == Board((1,))
 
     def test_accessors(self):
         b = Board((1, 2, 0, 2, 4, 6))
@@ -60,6 +77,35 @@ class TestBoardFromStones:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             board_from_stones(-1)
+
+    @pytest.mark.parametrize("bad", [True, 15.0, "15"])
+    def test_rejects_non_integer(self, bad):
+        with pytest.raises(ValueError, match="stone count"):
+            board_from_stones(bad)
+
+    def test_bin_budget_refuses_before_building(self):
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="budget"):
+            board_from_stones(2**128 - 1)
+        assert time.perf_counter() - start < 1e-3
+
+    def test_bin_budget_admits_the_largest_board_in_use(self):
+        # prime_reconstruct({29: 3, 31: 5}) builds the board with this many
+        # stones, ~9.0M bins; too slow to build in the suite.
+        n = 25_860_925_490_400
+        assert 2 * math.isqrt(n) + 1 <= core._MAX_BOARD_BINS
+
+    def test_derived_boards_are_not_rechecked(self, monkeypatch):
+        checked = []
+
+        def counting(value, what):
+            checked.append(what)
+            return as_uint(value, what)
+
+        monkeypatch.setattr(core, "as_uint", counting)
+        board = board_from_stones(10**6)
+        assert unplay(play(board)[0]) == board
+        assert checked == ["stone count"]
 
 
 class TestUnplay:
@@ -147,6 +193,10 @@ class TestPlaySequence:
     def test_cap(self):
         with pytest.raises(ValueError):
             play_sequence(100, cap=99)
+
+    def test_rejects_bool(self):
+        with pytest.raises(ValueError, match="stone count"):
+            play_sequence(True)
 
 
 class TestIsWinning:

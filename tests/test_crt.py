@@ -221,6 +221,21 @@ class TestPartialConstraint:
         with pytest.raises(ValueError):
             PartialConstraint([(3, 1), (3, 2)])
 
+    @pytest.mark.parametrize("bad", [1.5, True, "1", None])
+    def test_rejects_non_integer_count(self, bad):
+        with pytest.raises(ValueError, match="count at index 3"):
+            PartialConstraint({3: bad})
+
+    @pytest.mark.parametrize("bad", [1.7, True, "1", None])
+    def test_json_rejects_non_integer_count(self, bad):
+        with pytest.raises(ValueError, match="count at index 3"):
+            PartialConstraint.from_json({"indexing": "paper-section-4", "3": bad})
+
+    @pytest.mark.parametrize("key", ["3.0", " 3", "+3", "x"])
+    def test_json_rejects_non_decimal_index(self, key):
+        with pytest.raises(ValueError, match="constraint index"):
+            PartialConstraint.from_json({"indexing": "paper-section-4", key: 1})
+
 
 class TestCompleteConstraints:
     def test_infeasible_pair(self):

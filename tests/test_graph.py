@@ -58,6 +58,23 @@ class TestSowingGraph:
         with pytest.raises(ValueError):
             SowingGraph.from_json({"vertices": 2, "edges": [[1, 0], [1, 0]], "ruma": [0]})
 
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            ({"vertices": 2.9, "edges": [[1, 0]], "ruma": [0]}, "vertex count"),
+            ({"vertices": True, "edges": [], "ruma": [0]}, "vertex count"),
+            ({"vertices": 2, "edges": [[1.5, 0]], "ruma": [0]}, "edge source"),
+            ({"vertices": 2, "edges": [[1, "0"]], "ruma": [0]}, "edge target"),
+            ({"vertices": 2, "edges": [[1, 0]], "ruma": [None]}, "Ruma vertex"),
+            ({"vertices": 2, "edges": [[1, 0, 1]], "ruma": [0]}, "pair"),
+            ({"vertices": 2, "edges": [[1, 0]], "ruma": 0}, "ruma"),
+            ({"vertices": 2, "edges": [[1, 0]]}, "ruma"),
+        ],
+    )
+    def test_json_rejects_malformed_fields(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            SowingGraph.from_json(doc)
+
     def test_board_helpers(self):
         g = make_cycle(4)
         b = g.board_with_bins((1, 2, 0))
@@ -320,3 +337,7 @@ class TestGraphBoard:
     def test_rejects_negative_labels(self):
         with pytest.raises(ValueError):
             GraphBoard((1, -2))
+
+    def test_rejects_bool_labels(self):
+        with pytest.raises(ValueError, match="vertex label"):
+            GraphBoard((1, True))

@@ -62,6 +62,11 @@ class TestMinStones:
         with pytest.raises(ValueError):
             min_stones(0)
 
+    @pytest.mark.parametrize("bad", [True, 6.0, "6"])
+    def test_rejects_non_integer(self, bad):
+        with pytest.raises(ValueError, match="board length"):
+            min_stones(bad)
+
     def test_equals_minimum_over_enumeration(self):
         for length in range(1, 13):
             boards = list(enumerate_boards(length))
