@@ -13,7 +13,6 @@ runs dry when unplaying.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,9 +20,28 @@ from .checked import as_uint
 
 DEFAULT_BOARD_CAP = 10_000
 
+# Most vertices a sowing graph may have.  The graph code keeps a few
+# per-vertex lists and the game search a label per vertex per board: the
+# finiteness check of a 2^16-vertex graph takes about 0.3 s and 35 MB,
+# of a 2^20-vertex one about 6 s and 300 MB (CPython 3.11, 2-core VM).
+_MAX_VERTICES = 1 << 16
+
+# Most work one enumeration's walk search may do: one step per walk
+# extension, plus len(path) + vertex_count for each legal walk recorded
+# (its path and grown board are copied).  The number of walks can grow
+# exponentially with their length, as Rumas never block a walk; the
+# budget keeps both time and memory bounded.  make_star(4, 5) at cap
+# 30000 uses about 2.0M.
+_MAX_WALK_STEPS = 1 << 22
+
 
 class IllegalMoveError(ValueError):
     """The requested sow or unplay violates the movement rules."""
+
+
+def _check_vertex_budget(count: int) -> None:
+    if count > _MAX_VERTICES:
+        raise OverflowError(f"a sowing graph of {count} vertices exceeds the budget of {_MAX_VERTICES}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +59,7 @@ class SowingGraph:
     def __post_init__(self) -> None:
         if as_uint(self.vertex_count, "vertex count") < 1:
             raise ValueError("a sowing graph needs at least one vertex")
+        _check_vertex_budget(self.vertex_count)
         edge_list = []
         for edge in self.edges:
             if not isinstance(edge, (tuple, list)) or len(edge) != 2:
@@ -285,104 +304,140 @@ def has_finite_game_graph(graph: SowingGraph) -> tuple[bool, tuple[int, int] | N
     Ruma and a non-Ruma vertex (two co-reachable vertices always share a
     directed cycle).  The witness is such a pair, or None when finite.
     """
-    for component in _strongly_connected_components(graph):
+    witness = _infinite_witness(graph, _strongly_connected_components(graph))
+    return witness is None, witness
+
+
+def _infinite_witness(graph: SowingGraph, components: list[list[int]]) -> tuple[int, int] | None:
+    for component in components:
         rumas = [v for v in component if v in graph.ruma]
         others = [v for v in component if v not in graph.ruma]
         if rumas and others:
-            return False, (rumas[0], others[0])
-    return True, None
+            return rumas[0], others[0]
+    return None
 
 
-def _legal_unplays(graph: SowingGraph, board: GraphBoard, max_length: int) -> list[Move]:
-    # Every (v, r, walk) whose unplay is legal on this board, walk
-    # edge-length capped at max_length.  Depth-first over walk extensions
-    # with per-vertex stone budgets; results sorted for reproducibility.
-    moves: list[Move] = []
-    for v in graph.bins:
-        remaining = list(board.labels)
+def _legal_unplays(
+    labels: list[int],
+    starts: tuple[int, ...],
+    on_cycle: list[bool],
+    successors: list[tuple[int, ...]],
+    is_ruma: list[bool],
+    max_length: int,
+    budget: int,
+) -> tuple[list[tuple], int]:
+    # Every legal unplay on the board *labels*, walks of at most
+    # max_length edges, as sorted (v, r, path, grown labels) tuples, and
+    # the step budget left.  Depth-first over the walks from each start:
+    # a walk steps on a bin only while that bin has a stone left to pick
+    # up, Rumas never block, and a walk ending on a Ruma with v's own
+    # label used up is legal.  *labels* is restored on return.
+    found: list[tuple] = []
+    for v in starts:
+        if labels[v] and not on_cycle[v]:
+            continue
         path = [v]
-        # stack of successor iterators, one per walk vertex
-        pending = [iter(graph.successors[v])]
+        pending = [iter(successors[v])]
         while pending:
-            step = next(pending[-1], None)
-            if step is None:
+            for w in pending[-1]:
+                if is_ruma[w]:
+                    path.append(w)
+                    if not labels[v]:
+                        labels[v] = len(path) - 1
+                        found.append((v, w, tuple(path), tuple(labels)))
+                        labels[v] = 0
+                        budget -= len(path) + len(labels)
+                elif labels[w]:
+                    labels[w] -= 1
+                    path.append(w)
+                else:
+                    continue
+                budget -= 1
+                if budget < 0:
+                    raise RuntimeError(f"the unplay walk search exceeded its budget of {_MAX_WALK_STEPS} steps")
+                if len(path) <= max_length:
+                    pending.append(iter(successors[w]))
+                    break
+                path.pop()
+                if not is_ruma[w]:
+                    labels[w] += 1
+            else:
                 pending.pop()
                 last = path.pop()
-                if path and last not in graph.ruma:
-                    remaining[last] += 1
-                continue
-            if step not in graph.ruma:
-                if remaining[step] == 0:
-                    continue
-                remaining[step] -= 1
-            path.append(step)
-            if step in graph.ruma and remaining[v] == 0:
-                moves.append(Move(v, step, tuple(path)))
-            if len(path) - 1 < max_length:
-                pending.append(iter(graph.successors[step]))
-            else:
-                last = path.pop()
-                if last not in graph.ruma:
-                    remaining[last] += 1
-    moves.sort()
-    return moves
-
-
-def _walk_cap(graph: SowingGraph, board: GraphBoard, finite: bool, cap: int) -> int:
-    if finite:
-        # Any walk longer than this would wrap a stone-free cycle, which a
-        # criterion-finite graph does not offer along unplay walks.
-        return (graph.stones(board) + 1) * (graph.vertex_count + 1)
-    return cap * graph.vertex_count
+                if path and not is_ruma[last]:
+                    labels[last] += 1
+    found.sort()
+    return found, budget
 
 
 def enumerate_winning_boards(graph: SowingGraph, cap: int = DEFAULT_BOARD_CAP) -> GameGraph:
     """Breadth-first closure of unplaying from the empty board.
 
-    The finite case returns the complete game graph; hitting the cap
-    there is reported as an error, since the finiteness criterion said it
-    could not happen.  The infinite case returns a truncated prefix: at
-    most *cap* boards, with per-unmove walk lengths capped at
-    cap * vertex_count.
+    The finite case returns the complete game graph, or raises
+    RuntimeError when it has more than *cap* boards.  The infinite case
+    returns a truncated prefix: at most *cap* boards, with per-unmove
+    walk lengths capped at cap * vertex_count.  Either case raises
+    RuntimeError when the walk search passes its step budget.
     """
     if as_uint(cap, "board cap") < 1:
         raise ValueError("cap must be >= 1")
-    finite, _ = has_finite_game_graph(graph)
-    zero = graph.zero_board()
-    boards = [zero]
-    index = {graph.bin_labels(zero): 0}
-    edge_moves: dict[tuple[int, int], list[Move]] = {}
-    queue = deque([0])
-    while queue:
-        yi = queue.popleft()
-        source = boards[yi]
-        limit = _walk_cap(graph, source, finite, cap)
-        for move in _legal_unplays(graph, source, limit):
-            grown = unplay_move(graph, source, move.vertex, move.ruma, move.path)
-            key = graph.bin_labels(grown)
-            if key not in index:
-                if len(boards) >= cap:
+    components = _strongly_connected_components(graph)
+    finite = _infinite_witness(graph, components) is None
+    n = graph.vertex_count
+    is_ruma = [v in graph.ruma for v in range(n)]
+    successors = [graph.successors[v] for v in range(n)]
+    # A bin holding stones is refilled only by a walk that comes back to it.
+    on_cycle = [False] * n
+    for component in components:
+        for v in component:
+            on_cycle[v] = len(component) > 1 or v in successors[v]
+    # Board labels are kept as full vertex tuples; Ruma labels stay 0,
+    # since unplaying only ever takes captured stones back.
+    keys = [(0,) * n]
+    index = {keys[0]: 0}
+    # sows[i]: the sow moves out of board i, as (target, [(v, r, path)])
+    # in target order, since boards are expanded in index order.
+    sows: list[list[tuple[int, list[tuple]]]] = [[]]
+    budget = _MAX_WALK_STEPS
+    yi = 0
+    while yi < len(keys):
+        labels = list(keys[yi])
+        # Any longer walk would wrap a stone-free cycle, which a
+        # criterion-finite graph does not offer along unplay walks.
+        limit = (sum(labels) + 1) * (n + 1) if finite else cap * n
+        found, budget = _legal_unplays(labels, graph.bins, on_cycle, successors, is_ruma, limit, budget)
+        for v, r, path, key in found:
+            grown = index.get(key)
+            if grown is None:
+                if len(keys) >= cap:
                     if finite:
                         raise RuntimeError(
-                            f"board cap {cap} exceeded although the finiteness criterion "
-                            "reports a finite game graph"
+                            f"the finite game graph has more than {cap} boards; "
+                            "raise the board cap (--cap) to enumerate it"
                         )
                     continue
-                index[key] = len(boards)
-                boards.append(grown)
-                queue.append(index[key])
-            edge_moves.setdefault((index[key], yi), []).append(move)
+                grown = index[key] = len(keys)
+                keys.append(key)
+                sows.append([])
+            out = sows[grown]
+            if out and out[-1][0] == yi:
+                out[-1][1].append((v, r, path))
+            else:
+                out.append((yi, [(v, r, path)]))
+        yi += 1
     edges = tuple(
-        GameEdge(source, target, tuple(moves))
-        for (source, target), moves in sorted(edge_moves.items())
+        GameEdge(source, target, tuple(Move(v, r, path) for v, r, path in moves))
+        for source, out in enumerate(sows)
+        for target, moves in out
     )
-    return GameGraph(tuple(boards), edges, truncated=not finite)
+    return GameGraph(tuple(GraphBoard._trusted(key) for key in keys), edges, truncated=not finite)
 
 
 def make_path(length: int) -> SowingGraph:
     """Directed path of *length* bins feeding a single Ruma sink: the linear game."""
     if as_uint(length, "path length") < 1:
         raise ValueError("length must be >= 1")
+    _check_vertex_budget(length + 1)
     edges = {(1, 0)} | {(i, i - 1) for i in range(2, length + 1)}
     return SowingGraph(length + 1, frozenset(edges), frozenset({0}))
 
@@ -391,6 +446,7 @@ def make_cycle(length: int) -> SowingGraph:
     """Directed cycle on *length* vertices, one of which is the Ruma."""
     if as_uint(length, "cycle length") < 1:
         raise ValueError("length must be >= 1")
+    _check_vertex_budget(length)
     edges = {(i, i - 1) for i in range(1, length)} | {(0, length - 1)}
     return SowingGraph(length, frozenset(edges), frozenset({0}))
 
@@ -399,6 +455,7 @@ def make_star(spokes: int, length: int) -> SowingGraph:
     """Star of *spokes* directed paths of *length* bins, Ruma at the center."""
     if as_uint(spokes, "spoke count") < 1 or as_uint(length, "spoke length") < 1:
         raise ValueError("spokes and length must be >= 1")
+    _check_vertex_budget(spokes * length + 1)
     edges = set()
     for s in range(spokes):
         base = s * length
@@ -419,26 +476,20 @@ def cycle_attained_counts(length: int, board_limit: int) -> list[int]:
         raise ValueError("cycle_attained_counts requires length >= 2")
     if as_uint(board_limit, "board limit") < 1:
         raise ValueError("board_limit must be >= 1")
-    graph = make_cycle(length)
-    board = graph.zero_board()
+    _check_vertex_budget(length)
+    # Vertex id equals walk distance to the Ruma, so the closest minimally
+    # labeled bin is min((label, id)).  Its walk wraps the cycle once per
+    # stone on it: bins 1..v-1 give up label + 1 stones, every other bin
+    # label, and v is refilled with the walk's v + label * length edges.
+    labels = [0] * length
     totals = [0]
     while len(totals) < board_limit:
-        board = _cycle_unplay(graph, board, length)
-        totals.append(as_uint(graph.stones(board), "cycle stone total"))
+        label, v = min(zip(labels[1:], range(1, length)))
+        for w in range(1, length):
+            labels[w] -= label + 1 if w < v else label
+        labels[v] = v + label * length
+        totals.append(as_uint(totals[-1] + label + 1, "cycle stone total"))
     return totals
-
-
-def _cycle_unplay(graph: SowingGraph, board: GraphBoard, length: int) -> GraphBoard:
-    # Vertex id equals walk distance to the Ruma, so min((label, id)) is
-    # the closest minimally labeled vertex.
-    label, v = min((board.labels[v], v) for v in graph.bins)
-    steps = v + label * length
-    path = [v]
-    current = v
-    for _ in range(steps):
-        current = current - 1 if current >= 1 else length - 1
-        path.append(current)
-    return unplay_move(graph, board, v, 0, tuple(path))
 
 
 def game_graph_to_json(graph: SowingGraph, game: GameGraph) -> dict[str, object]:

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tchoukaillon import UINT128_MAX, Board, board_from_stones
+from tchoukaillon import UINT128_MAX, Board, board_from_stones, make_star
 from tchoukaillon.cli import main
 
 from golden import INITIAL_BOARDS
@@ -252,6 +252,29 @@ class TestGraphCommand:
         code, _, err = run(capsys, "graph", str(tmp_path / "nope.json"), "check-finite")
         assert code == 2
 
+    def test_finite_game_beyond_cap_names_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(make_star(3, 2).to_json()))  # 64 boards
+        code, out, err = run(capsys, "graph", str(path), "enumerate", "--cap", "10")
+        assert code == 2
+        assert out == ""
+        assert "more than 10 boards" in err and "--cap" in err
+
+    def test_walk_budget_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "blowup.json"
+        doc = {"vertices": 3, "edges": [[0, 0], [0, 2], [1, 0], [2, 0], [2, 1], [2, 2]], "ruma": [1, 2]}
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "graph", str(path), "enumerate", "--cap", "12")
+        assert code == 2
+        assert "walk search exceeded its budget" in err
+
+    def test_vertex_budget_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"vertices": 1_000_000_000, "edges": [[1, 0]], "ruma": [0]}))
+        code, _, err = run(capsys, "graph", str(path), "check-finite")
+        assert code == 2
+        assert "exceeds the budget" in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -326,15 +349,17 @@ class TestInputFuzz:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
-        vertices=SCALARS.filter(lambda v: non_integer(v) or not 6 < v <= UINT128_MAX),
+        vertices=st.one_of(SCALARS, st.integers(min_value=9, max_value=UINT128_MAX)),
         edges=st.lists(st.tuples(SCALARS, SCALARS), max_size=8),
         ruma=st.lists(SCALARS, max_size=3),
+        cap=st.integers(min_value=0, max_value=8),
     )
-    def test_graph_files(self, fuzz_dir, vertices, edges, ruma):
+    def test_graph_files(self, fuzz_dir, vertices, edges, ruma, cap):
         doc = {"vertices": vertices, "edges": [list(e) for e in edges], "ruma": ruma}
         path = fuzz_dir / "graph.json"
         path.write_text(json.dumps(doc))
-        code = main_quietly(["graph", str(path), "check-finite"])
-        assert code in (0, 1, 2)
-        if any(non_integer(v) for v in [vertices, *ruma, *(x for e in edges for x in e)]):
-            assert code == 2
+        for argv in (["check-finite"], ["enumerate", "--cap", str(cap)]):
+            code = main_quietly(["graph", str(path), *argv])
+            assert code in (0, 1, 2)
+            if any(non_integer(v) for v in [vertices, *ruma, *(x for e in edges for x in e)]):
+                assert code == 2

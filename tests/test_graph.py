@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from tchoukaillon import (
 )
 
 from golden import CYCLE3_TOTALS, CYCLE4_BINS, CYCLE4_TOTALS
+from graph_oracle import cycle_unplay
 
 
 def path_with_sink() -> SowingGraph:
@@ -273,7 +275,6 @@ class TestCycleCounts:
         # independent oracle: depth-first search over forward sows
         length = 3
         g = make_cycle(length)
-        from tchoukaillon.graph import _cycle_unplay
 
         def sow_path(v, stones):
             if stones < 1 or (v - stones) % length != 0:
@@ -302,8 +303,57 @@ class TestCycleCounts:
         memo: dict = {}
         assert clearable(board, memo)
         for _ in range(19):
-            board = _cycle_unplay(g, board, length)
+            board = cycle_unplay(g, board, length)
             assert clearable(board, memo)
+
+
+def walk_blowup() -> SowingGraph:
+    # Bin 0 and two Rumas with self-loops: the number of unplay walks
+    # grows about tenfold with each step of the board cap.
+    return SowingGraph(3, frozenset({(0, 0), (0, 2), (1, 0), (2, 0), (2, 1), (2, 2)}), frozenset({1, 2}))
+
+
+class TestBudgets:
+    def test_finite_game_beyond_cap_names_the_cap(self):
+        # make_star(3, 2) is finite with 64 boards
+        with pytest.raises(RuntimeError, match=r"more than 10 boards.*--cap"):
+            enumerate_winning_boards(make_star(3, 2), cap=10)
+
+    def test_walk_budget_refuses_promptly(self):
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="walk search exceeded its budget"):
+            enumerate_winning_boards(walk_blowup(), cap=12)
+        assert time.perf_counter() - start < 5
+
+    def test_walk_budget_admits_small_caps(self):
+        assert len(enumerate_winning_boards(walk_blowup(), cap=5).boards) == 5
+
+    def test_walk_budget_admits_large_star(self):
+        game = enumerate_winning_boards(make_star(4, 5), cap=30_000)
+        assert len(game.boards) == min_stones(6) ** 4
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SowingGraph(10**9, frozenset(), frozenset({0})),
+            lambda: SowingGraph.from_json({"vertices": 2**16 + 1, "edges": [], "ruma": [0]}),
+            lambda: make_path(2**16),
+            lambda: make_cycle(10**9),
+            lambda: make_star(2**8, 2**8),
+            lambda: cycle_attained_counts(10**9, 2),
+        ],
+    )
+    def test_vertex_budget(self, build):
+        with pytest.raises(OverflowError, match="vertices exceeds the budget"):
+            build()
+
+    def test_vertex_budget_admits_its_limit(self):
+        assert has_finite_game_graph(SowingGraph(2**16, frozenset({(1, 0)}), frozenset({0}))) == (True, None)
+
+    def test_cycle_totals_overflow_promptly(self):
+        # on two vertices each unplay doubles the refilled label
+        with pytest.raises(OverflowError, match="cycle stone total"):
+            cycle_attained_counts(2, 200)
 
 
 class TestExports:
