@@ -8,8 +8,9 @@ plays and unplays it, and exposes the periodicity of the bin columns.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,21 +84,40 @@ class Board:
 EMPTY_BOARD = Board()
 
 
-def _residue_walk(n: int) -> Iterator[int]:
-    i = 2
-    while n:
-        count = n % i
-        yield count
-        n -= count
+def _bin_runs(n: int) -> Iterator[Iterable[int]]:
+    # Near the Ruma the runs below are short: walk the first ~2*n^(1/3)
+    # bins one at a time.
+    head = []
+    i, remaining = 1, n
+    while remaining and i * i * i < 8 * n:
+        count = remaining % (i + 1)
+        head.append(count)
+        remaining -= count
         i += 1
+    yield head
+    # Before bin i the remaining stones are i*q.  With m = ceil(q/(i+1)),
+    # bin i holds first = (i+1)*m - q and q drops by m.  While m holds,
+    # each bin exceeds the one before by 2m; it holds for
+    # (i - first) // (2m - 1) + 1 bins.  The last run, with m = 1, is the
+    # forced tail ..., L-4, L-2, L.
+    q = remaining // i
+    while q:
+        m = -(-q // (i + 1))
+        first = (i + 1) * m - q
+        steps = (i - first) // (2 * m - 1) + 1
+        yield range(first, first + 2 * m * steps, 2 * m)
+        i += steps
+        q -= steps * m
 
 
 def board_from_stones(n: int) -> Board:
     """The unique winning board with *n* stones, built without unplaying.
 
     Bin i receives ``(n - sum of earlier bins) mod (i + 1)``, which keeps
-    every prefix sum congruent to n modulo i + 1.  Raises OverflowError,
-    before building anything, when the board could exceed the bin budget.
+    every prefix sum congruent to n modulo i + 1.  Consecutive bins form
+    arithmetic runs, so the walk takes O(n^(1/3)) steps for the ~sqrt(pi*n)
+    bins.  Raises OverflowError, before building anything, when the board
+    could exceed the bin budget.
     """
     as_uint(n, "stone count")
     # A board of length L holds at least L + (L-2) + (L-4) + ... >= L^2/4
@@ -108,7 +128,7 @@ def board_from_stones(n: int) -> Board:
             f"the board with {n} stones may have up to {bound} bins, "
             f"beyond the budget of {_MAX_BOARD_BINS}"
         )
-    return Board._trusted(tuple(_residue_walk(n)))
+    return Board._trusted(tuple(itertools.chain.from_iterable(_bin_runs(n))))
 
 
 def leftmost_empty(board: Board) -> int:
@@ -170,29 +190,42 @@ def play(board: Board) -> tuple[Board, int]:
     return Board._trusted(tuple(bins)), target
 
 
-def _first_empty_bin_of(n: int) -> int:
-    # Leftmost empty bin of the winning board with n stones, without
-    # materializing the board.
+def _first_played_bin(n: int) -> int:
+    # Smallest i whose bin holds exactly i stones, for n >= 1 (the last
+    # bin always does); the board is walked only up to that bin.
     remaining = n
     i = 1
     while True:
         count = remaining % (i + 1)
-        if count == 0:
+        if count == i:
             return i
         remaining -= count
         i += 1
 
 
+def first_played_bin(n: int) -> int:
+    """The bin played first when clearing the winning board with n stones.
+
+    Equals the smallest i whose bin holds exactly i stones; the last bin
+    always does, so the scan terminates.
+    """
+    if as_uint(n, "stone count") < 1:
+        raise ValueError("first_played_bin requires n >= 1")
+    return _first_played_bin(n)
+
+
 def play_sequence(n: int, cap: int = PLAY_SEQUENCE_CAP) -> list[int]:
     """The bins played, in order, to clear the winning board with *n* stones.
 
-    Move k clears one stone, so the sequence has length n.  Refuses n
-    above *cap* to bound memory.
+    Move k clears one stone, so the sequence has length n.  The board with
+    k stones first plays the bin that unplaying refilled, the leftmost
+    empty bin of the board with k - 1 stones.  Refuses n above *cap* to
+    bound memory.
     """
     as_uint(n, "stone count")
     if n > as_uint(cap, "move cap"):
         raise ValueError(f"play_sequence refuses n={n} above the cap of {cap} moves")
-    return [_first_empty_bin_of(k) for k in range(n - 1, -1, -1)]
+    return [_first_played_bin(k) for k in range(n, 0, -1)]
 
 
 @lru_cache(maxsize=1)

@@ -514,17 +514,11 @@ def game_graph_to_json(graph: SowingGraph, game: GameGraph) -> dict[str, object]
 def game_graph_to_dot(graph: SowingGraph, game: GameGraph) -> str:
     """DOT rendering with board bin-labels as node names."""
 
-    def name(board: GraphBoard) -> str:
-        return "[" + ",".join(str(c) for c in graph.bin_labels(board)) + "]"
-
+    names = ["[" + ",".join(map(str, graph.bin_labels(board))) + "]" for board in game.boards]
     lines = ["digraph sowing_game {"]
-    for board in game.boards:
-        lines.append(f'  "{name(board)}";')
+    lines += [f'  "{name}";' for name in names]
     for edge in game.edges:
         label = ",".join(f"v{m.vertex}" for m in edge.moves)
-        lines.append(
-            f'  "{name(game.boards[edge.source])}" -> '
-            f'"{name(game.boards[edge.target])}" [label="{label}"];'
-        )
+        lines.append(f'  "{names[edge.source]}" -> "{names[edge.target]}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines)

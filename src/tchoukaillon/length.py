@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .checked import as_uint
-from .core import Board
+from .core import _MAX_BOARD_BINS, Board
 
 
 def enumerate_boards(length: int) -> Iterator[Board]:
@@ -45,14 +45,27 @@ def min_stones(length: int) -> int:
 
     Evaluates the nested-ceiling product right to left: starting from
     ``length``, repeatedly raise to the next multiple of i for
-    i = length-1 down to 1.
+    i = length-1 down to 1.  The value at index i is q*i, and stepping to
+    i-1 adds m = ceil(q/(i-1)) to q; runs of equal m are taken in one
+    step.  Raises OverflowError for a length beyond the bin budget.
     """
     if as_uint(length, "board length") < 1:
         raise ValueError("min_stones requires length >= 1")
-    value = length
-    for i in range(length - 1, 0, -1):
-        value = -(-value // i) * i
-    return as_uint(value, "minimum stone count")
+    if length > _MAX_BOARD_BINS:
+        raise OverflowError(f"board length {length} is beyond the budget of {_MAX_BOARD_BINS} bins")
+    q, i = 1, length
+    while i > 1:
+        m = -(-q // (i - 1))
+        steps = (m * (i - 1) - q) // (2 * m) + 1
+        if steps == 1:
+            break
+        steps = min(steps, i - 1)
+        q += steps * m
+        i -= steps
+    # Near the Ruma the runs have length 1: finish one index at a time.
+    for j in range(i - 1, 0, -1):
+        q += -(-q // j)
+    return as_uint(q, "minimum stone count")
 
 
 def min_stones_sequence(max_length: int) -> list[int]:
@@ -66,11 +79,13 @@ def check_bounds(length: int) -> tuple[int, int, int]:
     """(lower, min_stones(length), upper) with lower <= value <= upper.
 
     The lower bound sums the forced far-end counts length - 2i; the upper
-    bound is the full-board total length(length+1)/2.
+    bound is the full-board total length(length+1)/2.  Raises
+    OverflowError for a length beyond the bin budget, as min_stones does.
     """
     if as_uint(length, "board length") < 2:
         raise ValueError("check_bounds requires length >= 2")
-    lower = sum(length - 2 * i for i in range(length // 2 + 1))
+    half = length // 2
+    lower = (half + 1) * (length - half)
     upper = length * (length + 1) // 2
     value = min_stones(length)
     return lower, value, as_uint(upper, "upper bound")

@@ -3,7 +3,8 @@
 These are the straightforward forms that the library's engine replaced:
 a breadth-first closure that enumerates every legal unplay walk per board
 and replays each one through the public, fully checked ``unplay_move``,
-and a cycle-game step that materializes its walk of label * length edges.
+a cycle-game step that materializes its walk of label * length edges,
+and a DOT export that renders both end names of every edge afresh.
 The differential tests compare the engine against them.
 """
 
@@ -111,3 +112,22 @@ def cycle_counts_by_replay(length: int, board_limit: int) -> list[int]:
         board = cycle_unplay(graph, board, length)
         totals.append(graph.stones(board))
     return totals
+
+
+def dot_by_edge(graph: SowingGraph, game: GameGraph) -> str:
+    """DOT rendering that rebuilds each end's node name for every edge."""
+
+    def name(board: GraphBoard) -> str:
+        return "[" + ",".join(str(c) for c in graph.bin_labels(board)) + "]"
+
+    lines = ["digraph sowing_game {"]
+    for board in game.boards:
+        lines.append(f'  "{name(board)}";')
+    for edge in game.edges:
+        label = ",".join(f"v{m.vertex}" for m in edge.moves)
+        lines.append(
+            f'  "{name(game.boards[edge.source])}" -> '
+            f'"{name(game.boards[edge.target])}" [label="{label}"];'
+        )
+    lines.append("}")
+    return "\n".join(lines)

@@ -138,6 +138,13 @@ class TestNfCommand:
     def test_requires_an_argument(self, capsys):
         assert run(capsys, "nf")[0] == 2
 
+    @pytest.mark.parametrize("extra", [(), ("--bounds",)])
+    def test_beyond_length_budget_is_usage_error(self, capsys, extra):
+        code, out, err = run(capsys, "nf", "1000000000000", *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "budget" in err
+
 
 class TestSieveCommand:
     def test_stage_three(self, capsys):

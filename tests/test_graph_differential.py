@@ -2,8 +2,8 @@
 
 Every enumeration must give byte-identical JSON and DOT exports to the
 breadth-first closure that replays each legal walk through the checked
-``unplay_move``, and the arithmetic cycle game must give the totals of
-the replayed walks.
+``unplay_move``, exported by the per-edge DOT renderer, and the
+arithmetic cycle game must give the totals of the replayed walks.
 """
 
 import random
@@ -22,26 +22,32 @@ from tchoukaillon import (
     make_star,
 )
 
-from graph_oracle import cycle_counts_by_replay, enumerate_by_replay
+from graph_oracle import cycle_counts_by_replay, dot_by_edge, enumerate_by_replay
 
 # Star sizes enumerated by the test suite and by the benchmark's graph workload.
 STARS = sorted({(s, length) for s in (1, 2, 3) for length in (1, 2, 3, 4)} | {(2, 4), (4, 2), (1, 6)})
-
-
-def exports(graph, enumerate_game, cap):
-    try:
-        game = enumerate_game(graph, cap)
-    except RuntimeError as exc:
-        return "RuntimeError", str(exc)
-    return game_graph_to_json(graph, game), game_graph_to_dot(graph, game)
 
 
 def engine(graph, cap):
     return enumerate_winning_boards(graph, cap=cap)
 
 
+# (enumerate, render DOT) for the library and for the slow oracles.
+ENGINE = (engine, game_graph_to_dot)
+ORACLE = (enumerate_by_replay, dot_by_edge)
+
+
+def exports(graph, side, cap):
+    enumerate_game, to_dot = side
+    try:
+        game = enumerate_game(graph, cap)
+    except RuntimeError as exc:
+        return "RuntimeError", str(exc)
+    return game_graph_to_json(graph, game), to_dot(graph, game)
+
+
 def assert_same_game(graph, cap):
-    assert exports(graph, engine, cap) == exports(graph, enumerate_by_replay, cap)
+    assert exports(graph, ENGINE, cap) == exports(graph, ORACLE, cap)
 
 
 @pytest.mark.parametrize("length", range(1, 17))
@@ -73,7 +79,7 @@ def test_hand_built_graphs(graph):
 
 
 def test_finite_game_beyond_cap_raises_on_both():
-    assert exports(make_star(3, 2), engine, 10) == exports(make_star(3, 2), enumerate_by_replay, 10)
+    assert exports(make_star(3, 2), ENGINE, 10) == exports(make_star(3, 2), ORACLE, 10)
 
 
 def test_random_graphs(monkeypatch):
@@ -89,10 +95,10 @@ def test_random_graphs(monkeypatch):
         edges = {(a, b) for a in range(vertices) for b in range(vertices) if rng.random() < 0.4}
         graph = SowingGraph(vertices, frozenset(edges), frozenset(ruma))
         cap = rng.randint(3, 12)
-        got = exports(graph, engine, cap)
+        got = exports(graph, ENGINE, cap)
         if got[0] == "RuntimeError" and "walk search" in got[1]:
             continue
-        assert got == exports(graph, enumerate_by_replay, cap), f"seed {seed}"
+        assert got == exports(graph, ORACLE, cap), f"seed {seed}"
         compared += 1
     assert compared >= 300
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -73,6 +74,18 @@ class TestMinStones:
             assert min_stones(length) == min(b.stones for b in boards)
             assert boards[0].stones == min_stones(length)
 
+    def test_budget_admits_the_longest_board(self):
+        length = 2**24
+        value = min_stones(length)
+        assert abs(value * math.pi / length**2 - 1) < 1e-3
+        assert check_bounds(length)[1] == value
+
+    def test_budget_refuses_before_the_loop(self):
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="budget"):
+            min_stones(2**24 + 1)
+        assert time.perf_counter() - start < 1e-3
+
 
 class TestBounds:
     def test_six(self):
@@ -89,6 +102,12 @@ class TestBounds:
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):
             check_bounds(1)
+
+    def test_budget_refuses_before_the_loop(self):
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="budget"):
+            check_bounds(10**12)
+        assert time.perf_counter() - start < 1e-3
 
 
 def test_quadratic_ratio_approaches_one_over_pi():
