@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,23 +84,13 @@ class Board:
 EMPTY_BOARD = Board()
 
 
-def _bin_runs(n: int) -> Iterator[Iterable[int]]:
-    # Near the Ruma the runs below are short: walk the first ~2*n^(1/3)
-    # bins one at a time.
-    head = []
-    i, remaining = 1, n
-    while remaining and i * i * i < 8 * n:
-        count = remaining % (i + 1)
-        head.append(count)
-        remaining -= count
-        i += 1
-    yield head
-    # Before bin i the remaining stones are i*q.  With m = ceil(q/(i+1)),
-    # bin i holds first = (i+1)*m - q and q drops by m.  While m holds,
-    # each bin exceeds the one before by 2m; it holds for
-    # (i - first) // (2m - 1) + 1 bins.  The last run, with m = 1, is the
-    # forced tail ..., L-4, L-2, L.
-    q = remaining // i
+def _bin_runs(n: int) -> Iterator[range]:
+    # Before bin i the remaining stones are i*q, with q = n before bin 1.
+    # With m = ceil(q/(i+1)), bin i holds first = (i+1)*m - q and q drops
+    # by m.  While m holds, each bin exceeds the one before by 2m; it
+    # holds for (i - first) // (2m - 1) + 1 bins.  The last run, with
+    # m = 1, is the forced tail ..., L-4, L-2, L.
+    i, q = 1, n
     while q:
         m = -(-q // (i + 1))
         first = (i + 1) * m - q

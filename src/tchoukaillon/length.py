@@ -56,10 +56,11 @@ def min_stones(length: int) -> int:
     q, i = 1, length
     while i > 1:
         m = -(-q // (i - 1))
+        # The slack m*(i-1) - q is at most i-2, so steps <= i/2: a run
+        # never passes index 1.
         steps = (m * (i - 1) - q) // (2 * m) + 1
         if steps == 1:
             break
-        steps = min(steps, i - 1)
         q += steps * m
         i -= steps
     # Near the Ruma the runs have length 1: finish one index at a time.
