@@ -5,10 +5,14 @@ arithmetic: bins are indexed from 2, so ``m[i]`` here corresponds to
 bin i-1 of :mod:`tchoukaillon.core`.  The conversion happens exactly once,
 at the calls into ``core``.
 
-A winning board's prefix sums are residues of its stone count, which
-turns partial-board reconstruction into congruence solving: complete the
-missing bins so that every prime-power window condition holds, take
-partial sums, and solve the resulting simultaneous congruences.
+A winning board's prefix sums are residues of its stone count: with n
+stones, n = m_2 + ... + m_j (mod j) for every j.  A prefix m_2..m_i is
+allowable (every prime-power window condition holds) exactly when these
+congruences for j <= i can be solved, so one search serves every
+reconstruction: it assigns bins in increasing index order, carries the
+solution of the congruences so far, and offers each bin only the counts
+that keep them solvable.  Every congruence, in the search and in
+:func:`crt_solve`, is folded in by the same merge step.
 """
 
 from __future__ import annotations
@@ -220,6 +224,18 @@ def _violating_pair(system: list[Congruence]) -> tuple[Congruence, Congruence]:
     raise AssertionError("merge failed but all pairs are compatible")
 
 
+def _merge(residue: int, modulus: int, value: int, i: int) -> tuple[int, int] | None:
+    # Fold n = value (mod i) into n = residue (mod modulus): the merged
+    # (residue, period), or None when the two clash modulo their gcd.
+    g = math.gcd(modulus, i)
+    if (value - residue) % g:
+        return None
+    lcm = as_uint(modulus // g * i, "congruence system period")
+    step = i // g
+    t = (value - residue) // g * pow(modulus // g, -1, step) % step
+    return (residue + modulus * t) % lcm, lcm
+
+
 def crt_solve(system: Iterable[Congruence]) -> tuple[int, int]:
     """Solve simultaneous congruences with arbitrary (non-coprime) moduli.
 
@@ -233,22 +249,15 @@ def crt_solve(system: Iterable[Congruence]) -> tuple[int, int]:
         raise ValueError("empty congruence system")
     residue, modulus = system[0].residue, system[0].modulus
     for congruence in system[1:]:
-        g = math.gcd(modulus, congruence.modulus)
-        if (congruence.residue - residue) % g:
+        merged = _merge(residue, modulus, congruence.residue, congruence.modulus)
+        if merged is None:
             pair = _violating_pair(system)
             raise Infeasible(
                 f"congruences disagree: {pair[0]} vs {pair[1]} "
                 f"(mod gcd {math.gcd(pair[0].modulus, pair[1].modulus)})",
                 witness=pair,
             )
-        lcm = modulus // g * congruence.modulus
-        as_uint(lcm, "congruence system period")
-        step = congruence.modulus // g
-        t = 0
-        if step > 1:
-            t = ((congruence.residue - residue) // g * pow(modulus // g, -1, step)) % step
-        residue = (residue + modulus * t) % lcm
-        modulus = lcm
+        residue, modulus = merged
     return residue, modulus
 
 
@@ -311,21 +320,18 @@ def allowable_check(values: Iterable[int]) -> tuple[bool, list[tuple[int, int]]]
     return not violations, violations
 
 
-def _window_conditions_hold(values: list[int], i: int) -> bool:
-    # values holds m_2..m_i; check all conditions whose window ends at i.
-    for d in prime_power_divisors(i):
-        if sum(values[i - d - 1 : i - 1]) % d:
-            return False
-    return True
-
-
 def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
     """All allowable full prefixes m_2..m_K extending the constraint.
 
-    Backtracks over indices in increasing order, pruning with each window
-    condition as soon as its last entry is assigned; smaller counts are
-    explored first, so the order is deterministic.  Yields nothing when
-    the constraint is infeasible.
+    Assigns indices in increasing order, smaller counts first, so the
+    order is deterministic.  Each node carries the prefix total and the
+    solution n = residue (mod lcm(2..i-1)) of the congruences so far;
+    index i may take exactly the counts c with total + c = residue modulo
+    gcd(lcm(2..i-1), i), which by the allowable-realizable theorem are
+    exactly the counts whose window conditions hold.  A constrained index
+    keeps its count only if it is among them.  Yields nothing when the
+    constraint is infeasible, and raises OverflowError on reaching index
+    89, where lcm(2..89) leaves the 128-bit range.
     """
     if not pc.entries:
         yield ()
@@ -334,37 +340,29 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
     top = pc.max_index
     values: list[int] = []
 
-    def extend(i: int) -> Iterator[tuple[int, ...]]:
+    def extend(i: int, total: int, residue: int, modulus: int) -> Iterator[tuple[int, ...]]:
         if i > top:
             yield tuple(values)
             return
-        choices = (fixed[i],) if i in fixed else range(i)
+        g = math.gcd(modulus, i)
+        choices = range((residue - total) % g, i, g)
+        if i in fixed:
+            choices = (fixed[i],) if fixed[i] in choices else ()
         for count in choices:
             values.append(count)
-            if _window_conditions_hold(values, i):
-                yield from extend(i + 1)
+            yield from extend(i + 1, total + count, *_merge(residue, modulus, total + count, i))
             values.pop()
 
-    yield from extend(2)
+    yield from extend(2, 0, 0, 1)
 
 
 def _solve_completion(completion: tuple[int, ...]) -> tuple[int, int]:
-    # Steps 2 and 3: partial sums become congruences; solve for n.
-    # Returns (minimal solution, period).
-    system = []
-    total = 0
-    for offset, count in enumerate(completion):
-        modulus = offset + 2
+    # Fold n = m_2 + ... + m_j (mod j) over j; returns (minimal solution, period).
+    residue, modulus, total = 0, 1, 0
+    for i, count in enumerate(completion, 2):
         total += count
-        system.append(Congruence(total % modulus, modulus))
-    return crt_solve(system)
-
-
-def _realize(completion: tuple[int, ...]) -> tuple[int, Board]:
-    if not completion:
-        return 0, Board()
-    n, _ = _solve_completion(completion)
-    return n, board_from_stones(n)
+        residue, modulus = _merge(residue, modulus, total, i)
+    return residue, modulus
 
 
 def reconstruct(pc: PartialConstraint) -> tuple[int, Board]:
@@ -374,7 +372,8 @@ def reconstruct(pc: PartialConstraint) -> tuple[int, Board]:
     necessarily over all completions; see :func:`reconstruct_minimal`.
     """
     for completion in complete_constraints(pc):
-        return _realize(completion)
+        n, _ = _solve_completion(completion)
+        return n, board_from_stones(n)
     raise Infeasible(f"no allowable completion extends {pc.as_dict()}", witness=pc)
 
 
@@ -396,9 +395,7 @@ def reconstruct_minimal(pc: PartialConstraint, cap: int = COMPLETION_CAP) -> tup
     if not pc.entries:
         return 0, Board()
     best_n: int | None = None
-    count = 0
-    for completion in complete_constraints(pc):
-        count += 1
+    for count, completion in enumerate(complete_constraints(pc), 1):
         if count > cap:
             raise RuntimeError(f"completion cap {cap} exceeded for {pc.as_dict()}")
         n, period = _solve_completion(completion)
@@ -414,44 +411,13 @@ def reconstruct_minimal(pc: PartialConstraint, cap: int = COMPLETION_CAP) -> tup
 def prime_reconstruct(pc: PartialConstraint) -> tuple[int, Board]:
     """Reconstruction for constraints whose indices are all prime.
 
-    Such constraints never conflict: prime indices carry no window
-    conditions, so the composite gaps can be filled greedily, taking at
-    each composite index the smallest count satisfying its window
-    congruences.  Falls back to full backtracking if the greedy fill ever
-    hits a dead end.
+    Such constraints never conflict, and the search never backtracks on
+    them: a prime index p shares no factor with lcm(2..p-1), so any count
+    fits there, and an unconstrained index always has a fitting count.
+    The result is that of :func:`reconstruct`, which takes the smallest
+    fitting count at every unconstrained index.
     """
     for index, _ in pc.entries:
         if not _is_prime(index):
             raise ValueError(f"prime_reconstruct requires prime indices, got {index}")
-    if not pc.entries:
-        return 0, Board()
-    fixed = pc.as_dict()
-    values: list[int] = []
-    for i in range(2, pc.max_index + 1):
-        if i in fixed:
-            count = fixed[i]
-        elif _is_prime(i):
-            count = 0
-        else:
-            count = _greedy_fill(values, i)
-            if count is None:
-                return reconstruct(pc)
-        values.append(count)
-    return _realize(tuple(values))
-
-
-def _greedy_fill(values: list[int], i: int) -> int | None:
-    # Smallest m_i in [0, i) meeting every window condition ending at i;
-    # values holds m_2..m_{i-1}, so the assigned part of the (i, d) window
-    # is the slice m_{i-d+1}..m_{i-1}.
-    system = []
-    for d in prime_power_divisors(i):
-        rest = sum(values[i - d - 1 : i - 2])
-        system.append(Congruence((-rest) % d, d))
-    if not system:
-        return 0
-    try:
-        solution, _ = crt_solve(system)
-    except Infeasible:
-        return None
-    return solution if solution < i else None
+    return reconstruct(pc)

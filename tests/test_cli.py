@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,6 +196,19 @@ class TestReconstructCommand:
         doc = json.loads(out)
         assert doc["n"] == 34
         assert doc["minimal"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("m1500=0",), ("m88=0", "m89=0", "m90=1"), ("m100=0", "--minimal")],
+    )
+    def test_period_beyond_128_bits_is_usage_error(self, capsys, argv):
+        # the search stops at index 89, where lcm(2..89) leaves 128 bits
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reconstruct", *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: congruence system period exceeds the 128-bit limit")
 
 
 class TestGraphCommand:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -332,6 +333,46 @@ class TestReconstructMinimal:
     def test_completion_cap(self):
         with pytest.raises(RuntimeError):
             reconstruct_minimal(PartialConstraint({12: 0}), cap=3)
+
+
+class TestPinnedPrefix:
+    # every bin m_2..m_30 is constrained, so the search has one completion
+    N = 1_000_012_345
+
+    @pytest.mark.parametrize("solve", [reconstruct, reconstruct_minimal])
+    def test_full_prefix_gives_its_stone_count(self, solve):
+        pc = PartialConstraint(enumerate(shifted_prefix(board_from_stones(self.N), 30), 2))
+        assert list(complete_constraints(pc)) == [tuple(v for _, v in pc.entries)]
+        assert solve(pc) == (self.N, board_from_stones(self.N))
+
+
+class TestPeriodBeyond128Bits:
+    # lcm(2..88) has 123 bits and lcm(2..89) has 130, so the search stops at 89
+    PERIOD_89 = math.lcm(*range(2, 90))
+
+    def test_top_index_88_answers(self):
+        assert reconstruct(PartialConstraint({88: 0})) == (0, Board())
+
+    @pytest.mark.parametrize(
+        "solve, entries",
+        [
+            (reconstruct, {89: 0}),
+            (reconstruct_minimal, {100: 0}),
+            (reconstruct, {1500: 0}),
+            (reconstruct, {88: 0, 89: 0, 90: 1}),
+            (prime_reconstruct, {89: 0}),
+            (lambda pc: list(complete_constraints(pc)), {89: 5}),
+        ],
+    )
+    def test_refused_promptly(self, solve, entries):
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match=f"congruence system period exceeds .*\\({self.PERIOD_89} >"):
+            solve(PartialConstraint(entries))
+        assert time.perf_counter() - start < 0.5
+
+    def test_infeasible_below_89_is_still_infeasible(self):
+        with pytest.raises(Infeasible):
+            reconstruct(PartialConstraint({5: 1, 6: 2, 100: 0}))
 
 
 class TestPeriodicityOfAgreement:

@@ -1,0 +1,141 @@
+"""The congruence-carrying reconstruction search against the window-pruned oracle.
+
+``complete_constraints`` offers each index only the counts that keep the
+prefix-sum congruences solvable; by the allowable-realizable theorem that
+is the tree the window-sum backtracking in ``crt_oracle`` walks, in the
+same order.  Completion lists, ``reconstruct``, ``reconstruct_minimal``
+(its cap included), ``prime_reconstruct`` and ``crt_solve`` must agree
+with the oracle exactly, ``Infeasible`` messages and witnesses included.
+"""
+
+import math
+import random
+
+import pytest
+
+import crt_oracle as oracle
+from tchoukaillon import (
+    Congruence,
+    Infeasible,
+    PartialConstraint,
+    complete_constraints,
+    crt_solve,
+    prime_reconstruct,
+    reconstruct,
+    reconstruct_minimal,
+)
+from tchoukaillon.crt import _solve_completion
+
+PRIMES = [p for p in range(2, 32) if all(p % q for q in range(2, p))]
+
+
+def outcome(fn, *args, **kwargs):
+    """A result or a raised error, in a form two implementations can be compared in."""
+    try:
+        n, board = fn(*args, **kwargs)
+    except (Infeasible, ValueError, OverflowError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+    return "ok", n, board.bins
+
+
+def assert_same(pc: PartialConstraint) -> list[tuple[int, ...]]:
+    completions = list(complete_constraints(pc))
+    assert completions == list(oracle.complete_by_windows(pc)), pc
+    assert outcome(reconstruct, pc) == outcome(oracle.reconstruct, pc), pc
+    assert outcome(reconstruct_minimal, pc) == outcome(oracle.reconstruct_minimal, pc), pc
+    return completions
+
+
+SINGLES = [(i, v) for i in range(2, 10) for v in range(i)]
+
+
+@pytest.mark.parametrize("index, count", SINGLES)
+def test_every_single_constraint_up_to_nine(index, count):
+    pc = PartialConstraint({index: count})
+    completions = assert_same(pc)
+    for cap in {1, len(completions) - 1, len(completions)} - {0}:
+        got = outcome(reconstruct_minimal, pc, cap=cap)
+        assert got == outcome(oracle.reconstruct_minimal, pc, cap=cap), (pc, cap)
+        assert (got[0] == "RuntimeError") == (cap < len(completions))
+
+
+def test_seeded_constraints_up_to_eleven():
+    rng = random.Random(1112)
+    infeasible = 0
+    for _ in range(150):
+        top = rng.randint(2, 11)
+        others = rng.sample(range(2, top), min(rng.randint(0, 3), top - 2))
+        pc = PartialConstraint({i: rng.randrange(i) for i in [top] + others})
+        if not assert_same(pc):
+            infeasible += 1
+    assert 10 < infeasible < 140  # both kinds of answer are exercised
+
+
+def test_completion_cap_at_top_twelve():
+    pc = PartialConstraint({12: 0})
+    for cap in (1, 3, 50):
+        assert outcome(reconstruct_minimal, pc, cap=cap) == outcome(oracle.reconstruct_minimal, pc, cap=cap)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{5: 1, 6: 2}, {6: 0, 7: 1, 8: 1, 10: 0}, {6: 0, 7: 1, 8: 1, 10: 1}, {11: 3, 12: 0}, {3: 1, 7: 2, 9: 3}],
+)
+def test_named_cases(entries):
+    assert_same(PartialConstraint(entries))
+
+
+def test_prime_constraints_up_to_23_full_answers():
+    rng = random.Random(2329)
+    for _ in range(60):
+        top = rng.choice(PRIMES[:9])
+        chosen = {top} | set(rng.sample(PRIMES[: PRIMES.index(top)], min(2, PRIMES.index(top))))
+        pc = PartialConstraint({p: rng.randrange(p) for p in chosen})
+        assert outcome(prime_reconstruct, pc) == outcome(oracle.prime_reconstruct, pc), pc
+
+
+def test_prime_constraints_up_to_31_completions():
+    # boards at top 29 and 31 run to millions of bins, so compare the
+    # completion the search takes first and its congruence solution
+    rng = random.Random(3131)
+    for _ in range(300):
+        chosen = rng.sample(PRIMES, rng.randint(1, 4))
+        pc = PartialConstraint({p: rng.randrange(p) for p in chosen})
+        greedy = oracle.greedy_prime_completion(pc)
+        assert greedy is not None, pc  # the greedy fill never needs its fallback
+        assert next(complete_constraints(pc)) == greedy, pc
+        assert _solve_completion(greedy) == oracle.solve_completion(greedy)
+
+
+@pytest.mark.parametrize("entries", [{}, {4: 1}, {9: 0}, {2: 1, 4: 0}])
+def test_prime_reconstruct_refusals(entries):
+    pc = PartialConstraint(entries)
+    assert outcome(prime_reconstruct, pc) == outcome(oracle.prime_reconstruct, pc)
+
+
+def solved(solve, system):
+    try:
+        return "ok", solve(system)
+    except (Infeasible, OverflowError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+
+
+def test_crt_solve_against_pairwise_fold():
+    rng = random.Random(4040)
+    clashes = 0
+    for _ in range(600):
+        moduli = [rng.randint(1, 60) for _ in range(rng.randint(1, 6))]
+        x = rng.randrange(math.lcm(*moduli))
+        system = [Congruence(x % m, m) for m in moduli]
+        k = rng.randrange(len(system))
+        if rng.random() < 0.5:
+            system[k] = Congruence(rng.randrange(moduli[k]), moduli[k])
+        got = solved(crt_solve, system)
+        assert got == solved(oracle.crt_solve_pairwise, system), system
+        clashes += got[0] == "Infeasible"
+    assert 50 < clashes < 300
+
+
+def test_crt_solve_period_refusal_matches():
+    system = [Congruence(0, 2**70), Congruence(1, 3**50)]
+    assert solved(crt_solve, system) == solved(oracle.crt_solve_pairwise, system)
