@@ -4,112 +4,87 @@ Board construction and play for the linear game, enumeration by board
 length, the first-played-bin sieve, partial-board reconstruction through
 congruence solving, and the generalization to sowing games on directed
 graphs.
+
+Every public name is importable from here.  Each one resolves on first
+use, so ``import tchoukaillon`` loads none of the modules, and a caller
+loads only the ones whose names it uses.
 """
 
-from .checked import UINT128_MAX
-from .core import (
-    Board,
-    EMPTY_BOARD,
-    board_from_stones,
-    first_played_bin,
-    is_winning,
-    leftmost_empty,
-    minimal_period,
-    play,
-    play_sequence,
-    unplay,
-)
-from .crt import (
-    Congruence,
-    IncreasingRemainderBoard,
-    Infeasible,
-    PartialConstraint,
-    RemainderBoard,
-    allowable_check,
-    board_from_increasing,
-    board_from_shifted,
-    complete_constraints,
-    consistency_conditions,
-    crt_solve,
-    increasing_remainder_board,
-    prime_reconstruct,
-    reconstruct,
-    reconstruct_minimal,
-    remainder_board,
-    shifted_prefix,
-)
-from .graph import (
-    GameEdge,
-    GameGraph,
-    GraphBoard,
-    IllegalMoveError,
-    Move,
-    SowingGraph,
-    cycle_attained_counts,
-    enumerate_winning_boards,
-    game_graph_to_dot,
-    game_graph_to_json,
-    has_finite_game_graph,
-    make_cycle,
-    make_path,
-    make_star,
-    sow_move,
-    unplay_move,
-)
-from .length import check_bounds, enumerate_boards, min_stones, min_stones_sequence
-from .sieve import sieve_stage, sieve_step
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Board",
-    "Congruence",
-    "EMPTY_BOARD",
-    "GameEdge",
-    "GameGraph",
-    "GraphBoard",
-    "IllegalMoveError",
-    "IncreasingRemainderBoard",
-    "Infeasible",
-    "Move",
-    "PartialConstraint",
-    "RemainderBoard",
-    "SowingGraph",
-    "UINT128_MAX",
-    "allowable_check",
-    "board_from_increasing",
-    "board_from_shifted",
-    "board_from_stones",
-    "check_bounds",
-    "complete_constraints",
-    "consistency_conditions",
-    "crt_solve",
-    "cycle_attained_counts",
-    "enumerate_boards",
-    "enumerate_winning_boards",
-    "first_played_bin",
-    "game_graph_to_dot",
-    "game_graph_to_json",
-    "has_finite_game_graph",
-    "increasing_remainder_board",
-    "is_winning",
-    "leftmost_empty",
-    "make_cycle",
-    "make_path",
-    "make_star",
-    "min_stones",
-    "min_stones_sequence",
-    "minimal_period",
-    "play",
-    "play_sequence",
-    "prime_reconstruct",
-    "reconstruct",
-    "reconstruct_minimal",
-    "remainder_board",
-    "shifted_prefix",
-    "sieve_stage",
-    "sieve_step",
-    "sow_move",
-    "unplay",
-    "unplay_move",
-]
+# Each public name and the module that defines it.
+_MODULE_OF = {
+    "UINT128_MAX": "checked",
+    "Board": "core",
+    "EMPTY_BOARD": "core",
+    "board_from_stones": "core",
+    "first_played_bin": "core",
+    "is_winning": "core",
+    "leftmost_empty": "core",
+    "minimal_period": "core",
+    "play": "core",
+    "play_sequence": "core",
+    "unplay": "core",
+    "Congruence": "crt",
+    "IncreasingRemainderBoard": "crt",
+    "Infeasible": "crt",
+    "PartialConstraint": "crt",
+    "RemainderBoard": "crt",
+    "allowable_check": "crt",
+    "board_from_increasing": "crt",
+    "board_from_shifted": "crt",
+    "complete_constraints": "crt",
+    "consistency_conditions": "crt",
+    "crt_solve": "crt",
+    "increasing_remainder_board": "crt",
+    "prime_reconstruct": "crt",
+    "reconstruct": "crt",
+    "reconstruct_minimal": "crt",
+    "remainder_board": "crt",
+    "shifted_prefix": "crt",
+    "GameEdge": "graph",
+    "GameGraph": "graph",
+    "GraphBoard": "graph",
+    "IllegalMoveError": "graph",
+    "Move": "graph",
+    "SowingGraph": "graph",
+    "cycle_attained_counts": "graph",
+    "enumerate_winning_boards": "graph",
+    "game_graph_to_dot": "graph",
+    "game_graph_to_json": "graph",
+    "has_finite_game_graph": "graph",
+    "make_cycle": "graph",
+    "make_path": "graph",
+    "make_star": "graph",
+    "sow_move": "graph",
+    "unplay_move": "graph",
+    "check_bounds": "length",
+    "enumerate_boards": "length",
+    "min_stones": "length",
+    "min_stones_sequence": "length",
+    "sieve_stage": "sieve",
+    "sieve_step": "sieve",
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # Called only for names not bound here yet: load the defining module
+    # and bind the name, so later lookups skip this function.  The
+    # modules themselves resolve too: `tchoukaillon.crt` works after a
+    # bare `import tchoukaillon`.
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    elif name in _MODULE_OF.values():
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -9,24 +9,53 @@ negatives (infeasible constraints, infinite or truncated game graphs),
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import re
 import sys
 
 from .checked import as_uint
-from .core import board_from_stones, play_sequence
-from .crt import Infeasible, PartialConstraint, reconstruct, reconstruct_minimal
-from .graph import (
-    SowingGraph,
-    enumerate_winning_boards,
-    game_graph_to_dot,
-    game_graph_to_json,
-    has_finite_game_graph,
-)
-from .length import check_bounds, enumerate_boards, min_stones, min_stones_sequence
-from .sieve import sieve_stage
 
 FORMATS = ("table", "json", "csv")
+
+# The library names the commands call and the module that defines each.
+# A command binds the names of the modules it needs with _load before it
+# calls them, so `tchouk board` never imports crt or graph.  The names
+# are this module's attributes, read at each call, so that a caller who
+# replaces one (a tracer, say) sees the commands use the replacement.
+_MODULE_OF = {
+    "board_from_stones": "core",
+    "play_sequence": "core",
+    "Infeasible": "crt",
+    "PartialConstraint": "crt",
+    "reconstruct": "crt",
+    "reconstruct_minimal": "crt",
+    "SowingGraph": "graph",
+    "enumerate_winning_boards": "graph",
+    "game_graph_to_dot": "graph",
+    "game_graph_to_json": "graph",
+    "has_finite_game_graph": "graph",
+    "check_bounds": "length",
+    "enumerate_boards": "length",
+    "min_stones": "length",
+    "min_stones_sequence": "length",
+    "sieve_stage": "sieve",
+}
+
+
+def _load(module: str) -> None:
+    """Bind the names taken from *module*, keeping any already bound."""
+    library = importlib.import_module(f"{__package__}.{module}")
+    for name, source in _MODULE_OF.items():
+        if source == module and name not in globals():
+            globals()[name] = getattr(library, name)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_MODULE_OF[name])
+    return globals()[name]
 
 
 def _fmt_bins(bins) -> str:
@@ -44,6 +73,7 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_board(args: argparse.Namespace) -> int:
+    _load("core")
     board = board_from_stones(args.n)
     moves = play_sequence(args.n) if args.moves else None
     if args.format == "json":
@@ -68,6 +98,7 @@ def cmd_board(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    _load("core")
     boards = [board_from_stones(n) for n in range(as_uint(args.n_max, "n_max") + 1)]
     max_length = boards[-1].length
     columns = args.bins if args.bins is not None else max_length
@@ -94,6 +125,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    _load("length")
     boards = list(enumerate_boards(args.length))
     if args.format == "json":
         print(json.dumps([b.to_json() for b in boards]))
@@ -107,6 +139,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_nf(args: argparse.Namespace) -> int:
+    _load("length")
     if args.sequence is not None and args.length is not None:
         raise ValueError("give either a single length or --sequence, not both")
     if args.sequence is not None:
@@ -135,6 +168,7 @@ def cmd_nf(args: argparse.Namespace) -> int:
 
 
 def cmd_sieve(args: argparse.Namespace) -> int:
+    _load("sieve")
     values = sieve_stage(args.k, args.count)
     if args.format == "json":
         print(json.dumps(values))
@@ -167,8 +201,13 @@ def _parse_constraints(args: argparse.Namespace) -> PartialConstraint:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
+    _load("crt")
     pc = _parse_constraints(args)
-    n, board = reconstruct_minimal(pc) if args.minimal else reconstruct(pc)
+    try:
+        n, board = reconstruct_minimal(pc) if args.minimal else reconstruct(pc)
+    except Infeasible as exc:
+        print(f"infeasible: {exc}")
+        return 1
     if args.format == "json":
         print(json.dumps({"n": n, "bins": board.to_json(), "minimal": bool(args.minimal)}))
         return 0
@@ -182,6 +221,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    _load("graph")
     with open(args.file, encoding="utf-8") as handle:
         graph = SowingGraph.from_json(json.load(handle))
     if args.action == "check-finite":
@@ -270,9 +310,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Infeasible as exc:
-        print(f"infeasible: {exc}")
-        return 1
     except (OverflowError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,9 @@ COMPLETION_CAP = 1_000_000
 
 CONSTRAINT_INDEXING = "paper-section-4"
 
+# The first index i at which lcm(2..i) leaves the 128-bit range.
+_PERIOD_OVERFLOW_INDEX = 89
+
 
 class Infeasible(Exception):
     """No integer satisfies the request; ``witness`` explains why."""
@@ -332,11 +335,22 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
     keeps its count only if it is among them.  Yields nothing when the
     constraint is infeasible, and raises OverflowError on reaching index
     89, where lcm(2..89) leaves the 128-bit range.
+
+    A window the constraint pins whole is checked first: the search
+    notices a broken one only at its last index, after trying every
+    allowable prefix below it.  Windows ending at 89 or above are left to
+    the search, which raises OverflowError at 89 before it reaches them.
     """
     if not pc.entries:
         yield ()
         return
     fixed = pc.as_dict()
+    for i, _ in pc.entries:
+        if i < _PERIOD_OVERFLOW_INDEX and i - 1 in fixed:
+            for d in prime_power_divisors(i):
+                window = range(i - d + 1, i + 1)
+                if all(j in fixed for j in window) and sum(fixed[j] for j in window) % d:
+                    return
     top = pc.max_index
     values: list[int] = []
 

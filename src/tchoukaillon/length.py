@@ -20,24 +20,41 @@ def enumerate_boards(length: int) -> Iterator[Board]:
     admissible counts are the values in [0, i] that keep the upper partial
     sum divisible by i (two choices when i divides the suffix sum, else one).
     Depth-first with the smaller count explored first, which makes the
-    output order coincide with increasing total stones.
+    output order coincide with increasing total stones.  The walk keeps
+    the bins where it took 0 but could take i, and resumes from the last.
+
+    Raises OverflowError before a board that would take the bins built
+    over all the boards past 2^24.
     """
     if as_uint(length, "board length") == 0:
         yield Board()
         return
+    refusal = f"the boards of length {length} pass the budget of {_MAX_BOARD_BINS} bins"
+    boards_left = _MAX_BOARD_BINS // length
+    if not boards_left:
+        raise OverflowError(refusal)
     bins = [0] * length
     bins[length - 1] = length
-
-    def descend(i: int, suffix: int) -> Iterator[Board]:
-        if i == 0:
-            yield Board._trusted(tuple(bins))
-            return
-        forced = (-suffix) % i
-        for count in ((0, i) if forced == 0 else (forced,)):
+    branches: list[tuple[int, int]] = []  # (bin, suffix sum above it)
+    i, suffix = length - 1, length
+    while True:
+        while i:
+            count = (-suffix) % i
+            if count == 0:
+                branches.append((i, suffix))
             bins[i - 1] = count
-            yield from descend(i - 1, suffix + count)
-
-    yield from descend(length - 1, length)
+            suffix += count
+            i -= 1
+        if not boards_left:
+            raise OverflowError(refusal)
+        boards_left -= 1
+        yield Board._trusted(tuple(bins))
+        if not branches:
+            return
+        i, suffix = branches.pop()
+        bins[i - 1] = i
+        suffix += i
+        i -= 1
 
 
 def min_stones(length: int) -> int:

@@ -2,12 +2,14 @@
 
 These are the per-element forms that the library's arithmetic replaced:
 the residue walk one bin at a time, the nested ceiling one index at a
-time, the sieve as a scan over every stone count, and the leftmost empty
-bin of the board one stone smaller.  The differential tests compare the
-library against them.
+time, the sieve as a scan over every stone count, the leftmost empty
+bin of the board one stone smaller, and the boards of one length by
+recursion.  The differential tests compare the library against them.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 
 def residue_walk(n: int) -> tuple[int, ...]:
@@ -67,3 +69,27 @@ def sieve_stage_by_scan(k: int, count: int, scan_cap: int) -> list[int]:
         if k == 1 or first_played_bin_by_walk(n) >= k:
             out.append(n)
     return out
+
+
+def enumerate_boards_by_recursion(length: int) -> Iterator[tuple[int, ...]]:
+    """Bins of every winning board of this length, one generator frame per bin.
+
+    Right to left from the last bin, forced to ``length``: bin i takes the
+    counts in [0, i] that keep the suffix sum divisible by i, smaller first.
+    """
+    if length == 0:
+        yield ()
+        return
+    bins = [0] * length
+    bins[length - 1] = length
+
+    def descend(i: int, suffix: int) -> Iterator[tuple[int, ...]]:
+        if i == 0:
+            yield tuple(bins)
+            return
+        forced = (-suffix) % i
+        for count in ((0, i) if forced == 0 else (forced,)):
+            bins[i - 1] = count
+            yield from descend(i - 1, suffix + count)
+
+    yield from descend(length - 1, length)

@@ -123,6 +123,13 @@ class TestEnumerateCommand:
             "[1,1,3,2,4,6]",
         ]
 
+    @pytest.mark.parametrize("length", ["100000", "1000000000000"])
+    def test_beyond_bin_budget_is_usage_error(self, capsys, length):
+        code, out, err = run(capsys, "enumerate", length)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "budget" in err
+
 
 class TestNfCommand:
     def test_sequence(self, capsys):
@@ -169,6 +176,14 @@ class TestReconstructCommand:
         code, out, _ = run(capsys, "reconstruct", "m5=1", "m6=2")
         assert code == 1
         assert out.startswith("infeasible")
+
+    def test_broken_high_window_is_infeasible_promptly(self, capsys):
+        # m_41 + m_42 is odd, which breaks the window (42, 2)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "reconstruct", "m40=0", "m41=0", "m42=1")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1
+        assert out.startswith("infeasible:")
 
     def test_from_file(self, capsys, tmp_path):
         doc = {"indexing": "paper-section-4", "3": 1, "7": 2}

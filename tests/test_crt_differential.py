@@ -10,6 +10,7 @@ with the oracle exactly, ``Infeasible`` messages and witnesses included.
 
 import math
 import random
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from tchoukaillon import (
     Infeasible,
     PartialConstraint,
     complete_constraints,
+    consistency_conditions,
     crt_solve,
     prime_reconstruct,
     reconstruct,
@@ -69,6 +71,44 @@ def test_seeded_constraints_up_to_eleven():
         if not assert_same(pc):
             infeasible += 1
     assert 10 < infeasible < 140  # both kinds of answer are exercised
+
+
+def pinned_runs(rng, low: int, high: int) -> dict[int, int]:
+    """One or two runs of consecutive constrained indices between low and high."""
+    entries = {}
+    for _ in range(rng.randint(1, 2)):
+        start = rng.randint(low, high - 1)
+        for i in range(start, min(start + rng.randint(2, 5), high + 1)):
+            entries[i] = rng.randrange(i)
+    return entries
+
+
+def test_seeded_pinned_windows_up_to_eleven():
+    rng = random.Random(8911)
+    infeasible = 0
+    for _ in range(150):
+        if not assert_same(PartialConstraint(pinned_runs(rng, 2, 11))):
+            infeasible += 1
+    assert 10 < infeasible < 140
+
+
+def test_seeded_broken_pinned_windows_up_to_eighty_eight_end_promptly():
+    # The oracle would walk every allowable prefix below these windows, so
+    # here the answer is checked against the window conditions instead.
+    rng = random.Random(4088)
+    broken = 0
+    for _ in range(200):
+        entries = pinned_runs(rng, 30, 88)
+        windows = [range(i - d + 1, i + 1) for i, d in consistency_conditions(max(entries))]
+        if not any(
+            all(j in entries for j in w) and sum(entries[j] for j in w) % len(w) for w in windows
+        ):
+            continue
+        broken += 1
+        start = time.perf_counter()
+        assert outcome(reconstruct, PartialConstraint(entries))[0] == "Infeasible", entries
+        assert time.perf_counter() - start < 0.5, entries
+    assert 20 < broken < 180
 
 
 def test_completion_cap_at_top_twelve():

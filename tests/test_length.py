@@ -36,6 +36,22 @@ class TestEnumerateBoards:
                 assert b.length == length
                 assert is_winning(b)
 
+    def test_lengths_past_the_recursion_limit(self):
+        # A walk with one generator frame per bin passes the recursion limit here.
+        boards = list(enumerate_boards(2000))
+        stones = [board.stones for board in boards]
+        assert stones == sorted(stones) and stones[0] == min_stones(2000)
+        assert all(board.length == 2000 for board in boards)
+        assert all(is_winning(board) for board in boards[:: len(boards) // 20])
+
+    @pytest.mark.parametrize("length", [4000, 10**5, 2**24 + 1, 10**12])
+    def test_budget_refuses_promptly(self, length):
+        # 4000 has 5,026 boards: 20.1M bins in all, past the 2^24 budget
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match=f"boards of length {length} pass the budget"):
+            list(enumerate_boards(length))
+        assert time.perf_counter() - start < 0.5
+
     def test_completeness_against_stone_count_oracle(self):
         # the boards of length l are exactly those with min_stones(l) <= n < min_stones(l+1)
         for length in range(1, 9):

@@ -1,9 +1,10 @@
 """The linear layer's arithmetic fast paths against the per-element oracles.
 
 ``board_from_stones`` walks runs of bins, ``min_stones`` runs of equal
-ceiling steps, ``sieve_stage`` one period of stone counts, and
-``play_sequence`` the first played bins; each must agree exactly with the
-slow form it replaced, kept in ``linear_oracle``.
+ceiling steps, ``sieve_stage`` one period of stone counts,
+``play_sequence`` the first played bins, and ``enumerate_boards`` one
+loop over the bins; each must agree exactly with the slow form it
+replaced, kept in ``linear_oracle``.
 """
 
 import math
@@ -15,13 +16,20 @@ import pytest
 from tchoukaillon import (
     board_from_stones,
     check_bounds,
+    enumerate_boards,
     min_stones,
     minimal_period,
     play_sequence,
     sieve_stage,
 )
 
-from linear_oracle import first_empty_bin_of, min_stones_by_loop, residue_walk, sieve_stage_by_scan
+from linear_oracle import (
+    enumerate_boards_by_recursion,
+    first_empty_bin_of,
+    min_stones_by_loop,
+    residue_walk,
+    sieve_stage_by_scan,
+)
 
 
 def test_boards_up_to_twenty_thousand():
@@ -108,3 +116,10 @@ def test_sieve_huge_count_is_refused_promptly():
 def test_play_sequence_is_the_leftmost_empty_bin_one_stone_earlier():
     n = 5000
     assert play_sequence(n) == [first_empty_bin_of(k) for k in range(n - 1, -1, -1)]
+
+
+def test_enumerate_boards_every_length_up_to_four_hundred():
+    for length in range(401):
+        got = [board.bins for board in enumerate_boards(length)]
+        assert got == list(enumerate_boards_by_recursion(length)), length
+
