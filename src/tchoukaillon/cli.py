@@ -14,58 +14,59 @@ import json
 import re
 import sys
 
+from . import _MODULE_OF
 from .checked import as_uint
 
 FORMATS = ("table", "json", "csv")
 
-# The library names the commands call and the module that defines each.
-# A command binds the names of the modules it needs with _load before it
-# calls them, so `tchouk board` never imports crt or graph.  The names
-# are this module's attributes, read at each call, so that a caller who
-# replaces one (a tracer, say) sees the commands use the replacement.
-_MODULE_OF = {
-    "board_from_stones": "core",
-    "play_sequence": "core",
-    "Infeasible": "crt",
-    "PartialConstraint": "crt",
-    "reconstruct": "crt",
-    "reconstruct_minimal": "crt",
-    "SowingGraph": "graph",
-    "enumerate_winning_boards": "graph",
-    "game_graph_to_dot": "graph",
-    "game_graph_to_json": "graph",
-    "has_finite_game_graph": "graph",
-    "check_bounds": "length",
-    "enumerate_boards": "length",
-    "min_stones": "length",
-    "min_stones_sequence": "length",
-    "sieve_stage": "sieve",
-}
+# The library names the commands call; the package's table says which
+# module defines each.  A command binds the names of the modules it
+# needs with _load before it calls them, so `tchouk board` never imports
+# crt or graph.  The names are this module's attributes, read at each
+# call, so that a caller who replaces one (a tracer, say) sees the
+# commands use the replacement.
+_NAMES = (
+    "board_from_stones", "play_sequence",
+    "Infeasible", "PartialConstraint", "reconstruct", "reconstruct_minimal",
+    "SowingGraph", "enumerate_winning_boards", "game_graph_to_dot", "game_graph_to_json",
+    "has_finite_game_graph",
+    "check_bounds", "enumerate_boards", "min_stones", "min_stones_sequence",
+    "sieve_stage",
+)
 
 
-def _load(module: str) -> None:
-    """Bind the names taken from *module*, keeping any already bound."""
+def _load(module: str):
+    """Bind the names taken from *module*, keeping any already bound; return the module."""
     library = importlib.import_module(f"{__package__}.{module}")
-    for name, source in _MODULE_OF.items():
-        if source == module and name not in globals():
+    for name in _NAMES:
+        if _MODULE_OF[name] == module and name not in globals():
             globals()[name] = getattr(library, name)
+    return library
 
 
 def __getattr__(name: str):
-    if name not in _MODULE_OF:
+    if name not in _NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _load(_MODULE_OF[name])
     return globals()[name]
 
 
-def _fmt_bins(bins) -> str:
-    return "[" + ",".join(str(b) for b in bins) + "]"
+def _emit(fmt: str, doc, rows) -> None:
+    """Print a result in *fmt*: the JSON document, or the rows one per line.
 
-
-def _print_aligned(rows: list[list[str]]) -> None:
-    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
+    Only json calls *doc*, and only csv and table iterate *rows*, so a
+    format builds only what it prints.  Cells are joined by "," in csv
+    and by a space in a table.  A tuple cell holds bins, printed
+    ``[a,b,c]`` in a table and ``a,b,c`` in csv.
+    """
+    if fmt == "json":
+        print(json.dumps(doc()))
+        return
+    sep, bins = (",", "{}") if fmt == "csv" else (" ", "[{}]")
     for row in rows:
-        print(" ".join(cell.rjust(width) for cell, width in zip(row, widths)))
+        print(sep.join([
+            bins.format(",".join(map(str, cell))) if isinstance(cell, tuple) else str(cell) for cell in row
+        ]))
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -75,66 +76,54 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
 def cmd_board(args: argparse.Namespace) -> int:
     _load("core")
     board = board_from_stones(args.n)
-    moves = play_sequence(args.n) if args.moves else None
-    if args.format == "json":
-        doc: dict[str, object] = {
-            "bins": board.to_json(),
-            "stones": board.stones,
-            "length": board.length,
-        }
-        if moves is not None:
-            doc["moves"] = moves
-        print(json.dumps(doc))
-        return 0
-    if args.format == "csv":
-        print(",".join(str(b) for b in board.bins))
-        if moves is not None:
-            print(",".join(str(m) for m in moves))
-        return 0
-    print(_fmt_bins(board.bins))
-    if moves is not None:
-        print(" ".join(str(m) for m in moves))
+    moves = {"moves": play_sequence(args.n)} if args.moves else {}
+    _emit(
+        args.format,
+        lambda: {"bins": board.to_json(), "stones": board.stones, "length": board.length, **moves},
+        [[board.bins], *moves.values()],
+    )
     return 0
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    _load("core")
-    boards = [board_from_stones(n) for n in range(as_uint(args.n_max, "n_max") + 1)]
-    max_length = boards[-1].length
-    columns = args.bins if args.bins is not None else max_length
-    if columns < max_length:
-        raise ValueError(f"--bins {columns} would hide bins; the longest board has {max_length}")
-    rows = [
-        [n, board.length] + [board.bin(i) for i in range(1, columns + 1)]
-        for n, board in enumerate(boards)
-    ]
-    if args.format == "json":
-        print(json.dumps([
-            {"n": n, "length": board.length, "bins": board.to_json()}
-            for n, board in enumerate(boards)
-        ]))
-        return 0
-    header = ["n", "l"] + [f"b{i}" for i in range(1, columns + 1)]
-    if args.format == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(cell) for cell in row))
-        return 0
-    _print_aligned([header] + [[str(cell) for cell in row] for row in rows])
+    core = _load("core")
+    n_max = as_uint(args.n_max, "n_max")
+    budget = core._MAX_BOARD_BINS
+    # Every board past n = 0 has a bin, so more rows than the budget never fit.
+    if n_max >= budget:
+        raise OverflowError(f"a table of {n_max + 1} boards passes the budget of {budget} bins")
+    # Board length never decreases in n, so the last board is the longest.
+    last = board_from_stones(n_max)
+    columns = last.length if args.bins is None else as_uint(args.bins, "--bins")
+    if columns < last.length:
+        raise ValueError(f"--bins {columns} would hide bins; the longest board has {last.length}")
+    if (n_max + 1) * columns > budget:
+        raise OverflowError(f"a table of {n_max + 1} boards by {columns} bins passes the budget of {budget} bins")
+    boards = [board_from_stones(n) for n in range(n_max)] + [last]
+
+    def rows():
+        yield ["n", "l"] + [f"b{i}" for i in range(1, columns + 1)]
+        for n, board in enumerate(boards):
+            yield [n, board.length, *board.bins] + [0] * (columns - board.length)
+
+    cells = rows()
+    if args.format == "table":
+        widths = [0] * (columns + 2)
+        for row in rows():
+            widths = list(map(max, widths, map(len, map(str, row))))
+        cells = (map(str.rjust, map(str, row), widths) for row in rows())
+    _emit(
+        args.format,
+        lambda: [{"n": n, "length": board.length, "bins": board.to_json()} for n, board in enumerate(boards)],
+        cells,
+    )
     return 0
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     _load("length")
     boards = list(enumerate_boards(args.length))
-    if args.format == "json":
-        print(json.dumps([b.to_json() for b in boards]))
-    elif args.format == "csv":
-        for board in boards:
-            print(",".join(str(b) for b in board.bins))
-    else:
-        for board in boards:
-            print(_fmt_bins(board.bins))
+    _emit(args.format, lambda: [board.to_json() for board in boards], ([board.bins] for board in boards))
     return 0
 
 
@@ -144,42 +133,26 @@ def cmd_nf(args: argparse.Namespace) -> int:
         raise ValueError("give either a single length or --sequence, not both")
     if args.sequence is not None:
         values = min_stones_sequence(args.sequence)
-        if args.format == "json":
-            print(json.dumps(values))
-        elif args.format == "csv":
-            print(",".join(str(v) for v in values))
-        else:
-            print(" ".join(str(v) for v in values))
-        return 0
-    if args.length is None:
+        _emit(args.format, lambda: values, [values])
+    elif args.length is None:
         raise ValueError("a length (or --sequence) is required")
-    if args.bounds:
+    elif args.bounds:
         lower, value, upper = check_bounds(args.length)
-        if args.format == "json":
-            print(json.dumps({"lower": lower, "value": value, "upper": upper}))
-        elif args.format == "csv":
-            print(f"{lower},{value},{upper}")
-        else:
-            print(f"{lower} {value} {upper}")
-        return 0
-    value = min_stones(args.length)
-    print(json.dumps({"value": value}) if args.format == "json" else value)
+        _emit(args.format, lambda: {"lower": lower, "value": value, "upper": upper}, [[lower, value, upper]])
+    else:
+        value = min_stones(args.length)
+        _emit(args.format, lambda: {"value": value}, [[value]])
     return 0
 
 
 def cmd_sieve(args: argparse.Namespace) -> int:
     _load("sieve")
     values = sieve_stage(args.k, args.count)
-    if args.format == "json":
-        print(json.dumps(values))
-    elif args.format == "csv":
-        print(",".join(str(v) for v in values))
-    else:
-        print(" ".join(str(v) for v in values))
+    _emit(args.format, lambda: values, [values])
     return 0
 
 
-_PAIR = re.compile(r"^m(\d+)=(\d+)$")
+_PAIR = re.compile(r"m([0-9]+)=([0-9]+)")
 
 
 def _parse_constraints(args: argparse.Namespace) -> PartialConstraint:
@@ -190,7 +163,7 @@ def _parse_constraints(args: argparse.Namespace) -> PartialConstraint:
             return PartialConstraint.from_json(json.load(handle))
     entries = {}
     for pair in args.pairs:
-        match = _PAIR.match(pair)
+        match = _PAIR.fullmatch(pair)
         if not match:
             raise ValueError(f"constraints look like m<i>=<v>, got {pair!r}")
         index = int(match.group(1))
@@ -208,15 +181,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}")
         return 1
-    if args.format == "json":
-        print(json.dumps({"n": n, "bins": board.to_json(), "minimal": bool(args.minimal)}))
-        return 0
-    if args.format == "csv":
-        print(n)
-        print(",".join(str(b) for b in board.bins))
-        return 0
-    print(f"n={n}")
-    print(_fmt_bins(board.bins))
+    _emit(
+        args.format,
+        lambda: {"n": n, "bins": board.to_json(), "minimal": bool(args.minimal)},
+        [[f"n={n}" if args.format == "table" else n], [board.bins]],
+    )
     return 0
 
 
@@ -224,24 +193,21 @@ def cmd_graph(args: argparse.Namespace) -> int:
     _load("graph")
     with open(args.file, encoding="utf-8") as handle:
         graph = SowingGraph.from_json(json.load(handle))
+    # csv prints what table prints: a message, or one bracketed line per board
+    fmt = "json" if args.format == "json" else "table"
     if args.action == "check-finite":
         finite, witness = has_finite_game_graph(graph)
-        if args.format == "json":
-            print(json.dumps({"finite": finite, "witness": list(witness) if witness else None}))
-        elif finite:
-            print("finite")
+        if finite:
+            text = "finite"
         else:
-            ruma, vertex = witness
-            print(f"infinite: ruma {ruma} and vertex {vertex} lie on a common directed cycle")
+            text = "infinite: ruma {} and vertex {} lie on a common directed cycle".format(*witness)
+        _emit(fmt, lambda: {"finite": finite, "witness": list(witness) if witness else None}, [[text]])
         return 0 if finite else 1
     game = enumerate_winning_boards(graph, cap=args.cap)
     if args.action == "dot":
         print(game_graph_to_dot(graph, game))
-    elif args.format == "json":
-        print(json.dumps(game_graph_to_json(graph, game)))
     else:
-        for board in game.boards:
-            print(_fmt_bins(graph.bin_labels(board)))
+        _emit(fmt, lambda: game_graph_to_json(graph, game), ([graph.bin_labels(b)] for b in game.boards))
     if game.truncated:
         print(f"truncated at cap={args.cap}", file=sys.stderr)
         return 1

@@ -110,6 +110,23 @@ class TestTableCommand:
         assert code == 2
         assert "hide" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("10000000",), ("3", "--bins", "1000000000"), ("70000000000000",), (str(UINT128_MAX),)]
+    )
+    def test_beyond_bin_budget_is_usage_error(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "table", *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "budget" in err
+
+    def test_negative_bins_rejected(self, capsys):
+        code, out, err = run(capsys, "table", "0", "--bins", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--bins must be non-negative" in err
+
 
 class TestEnumerateCommand:
     def test_length_six(self, capsys):
@@ -204,6 +221,14 @@ class TestReconstructCommand:
     def test_bad_pair_syntax(self, capsys):
         code, _, err = run(capsys, "reconstruct", "3=1")
         assert code == 2
+        assert "m<i>=<v>" in err
+
+    # Inline pairs take ASCII decimal digits only, as constraint files do.
+    @pytest.mark.parametrize("pair", ["m3=\u0661", "m\u0663=1", "m3=1\n"])
+    def test_pair_digits_are_ascii(self, capsys, pair):
+        code, out, err = run(capsys, "reconstruct", pair)
+        assert code == 2
+        assert out == ""
         assert "m<i>=<v>" in err
 
     def test_json_format(self, capsys):
