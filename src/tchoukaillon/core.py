@@ -11,10 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .checked import UINT128_MAX, as_uint
+from .checked import UINT128_MAX, _Frozen, as_uint
 
 PLAY_SEQUENCE_CAP = 10_000_000
 
@@ -30,8 +29,7 @@ def _trim(bins: tuple[int, ...]) -> tuple[int, ...]:
     return bins if end == len(bins) else bins[:end]
 
 
-@dataclass(frozen=True)
-class Board:
+class Board(_Frozen):
     """Immutable stone counts per bin, stored with no trailing zeros.
 
     ``bins[0]`` is bin 1 (adjacent to the Ruma).  Trailing zero bins are
@@ -39,10 +37,10 @@ class Board:
     representation per board.
     """
 
-    bins: tuple[int, ...] = ()
+    __slots__ = __match_args__ = ("bins",)
 
-    def __post_init__(self) -> None:
-        bins = tuple(self.bins)
+    def __init__(self, bins: tuple[int, ...] = ()) -> None:
+        bins = tuple(bins)
         for count in bins:
             as_uint(count, "bin count")
         object.__setattr__(self, "bins", _trim(bins))

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 
-from .checked import as_uint
+from .checked import _Frozen, as_uint
 from .core import Board, board_from_stones
 
 COMPLETION_CAP = 1_000_000
@@ -40,41 +39,41 @@ class Infeasible(Exception):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(_Frozen):
     """``n = residue (mod modulus)`` with the residue normalized to [0, modulus)."""
 
-    residue: int
-    modulus: int
+    __slots__ = __match_args__ = ("residue", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        if not 0 <= self.residue < self.modulus:
-            raise ValueError(f"residue {self.residue} not in [0, {self.modulus})")
+    def __init__(self, residue: int, modulus: int) -> None:
+        as_uint(residue, "residue")
+        if as_uint(modulus, "modulus") < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        if residue >= modulus:
+            raise ValueError(f"residue {residue} not in [0, {modulus})")
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "modulus", modulus)
 
     def __str__(self) -> str:
         return f"n = {self.residue} (mod {self.modulus})"
 
 
-@dataclass(frozen=True)
-class RemainderBoard:
+class RemainderBoard(_Frozen):
     """Residues of a stone count modulo 2, 3, ..., k."""
 
-    residues: tuple[int, ...]
-    n: int | None = None
+    __slots__ = __match_args__ = ("residues", "n")
 
-    def __post_init__(self) -> None:
-        residues = tuple(self.residues)
-        if self.n is not None:
-            as_uint(self.n, "stone count")
+    def __init__(self, residues: tuple[int, ...], n: int | None = None) -> None:
+        residues = tuple(residues)
+        if n is not None:
+            as_uint(n, "stone count")
         for offset, value in enumerate(residues):
             modulus = offset + 2
             if not as_uint(value, f"residue mod {modulus}") < modulus:
                 raise ValueError(f"residue {value} out of range for modulus {modulus}")
-            if self.n is not None and self.n % modulus != value:
-                raise ValueError(f"residue {value} does not match {self.n} mod {modulus}")
+            if n is not None and n % modulus != value:
+                raise ValueError(f"residue {value} does not match {n} mod {modulus}")
         object.__setattr__(self, "residues", residues)
+        object.__setattr__(self, "n", n)
 
     @property
     def max_modulus(self) -> int:
@@ -86,8 +85,7 @@ class RemainderBoard:
         return self.residues[modulus - 2]
 
 
-@dataclass(frozen=True)
-class IncreasingRemainderBoard:
+class IncreasingRemainderBoard(_Frozen):
     """The minimal weakly increasing lift of a remainder board.
 
     Entry i (for i = 2..k) is congruent to n modulo i and is the smallest
@@ -95,10 +93,10 @@ class IncreasingRemainderBoard:
     the bins of the winning board.
     """
 
-    values: tuple[int, ...]
+    __slots__ = __match_args__ = ("values",)
 
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
+    def __init__(self, values: tuple[int, ...]) -> None:
+        values = tuple(values)
         previous = 0
         for offset, value in enumerate(values):
             modulus = offset + 2
@@ -120,8 +118,7 @@ class IncreasingRemainderBoard:
         return self.values[modulus - 2]
 
 
-@dataclass(frozen=True)
-class PartialConstraint:
+class PartialConstraint(_Frozen):
     """Required stone counts for a subset of bins, in the shifted convention.
 
     Keys are bin indices >= 2; values must satisfy 0 <= m[i] < i.  Accepts
@@ -129,13 +126,12 @@ class PartialConstraint:
     tuple.
     """
 
-    entries: tuple[tuple[int, int], ...] = ()
+    __slots__ = __match_args__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        raw = self.entries
+    def __init__(self, entries: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> None:
         pairs = sorted(
             (as_uint(index, "constraint index"), as_uint(count, f"count at index {index}"))
-            for index, count in (raw.items() if isinstance(raw, Mapping) else raw)
+            for index, count in (entries.items() if isinstance(entries, Mapping) else entries)
         )
         seen = set()
         for index, count in pairs:

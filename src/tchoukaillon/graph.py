@@ -13,10 +13,7 @@ runs dry when unplaying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
-from .checked import as_uint
+from .checked import _Frozen, as_uint
 
 DEFAULT_BOARD_CAP = 10_000
 
@@ -44,53 +41,48 @@ def _check_vertex_budget(count: int) -> None:
         raise OverflowError(f"a sowing graph of {count} vertices exceeds the budget of {_MAX_VERTICES}")
 
 
-@dataclass(frozen=True)
-class SowingGraph:
+class SowingGraph(_Frozen):
     """Directed graph with a distinguished nonempty Ruma vertex set.
 
     Vertices are 0..vertex_count-1.  Parallel edges are disallowed;
-    self-loops are fine.
+    self-loops are fine.  Derived on construction: ``successors`` maps
+    each vertex to its sorted out-neighbours, and ``bins`` lists the
+    non-Ruma vertices in id order, the displayed board coordinates.
     """
 
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
-    ruma: frozenset[int]
+    __match_args__ = ("vertex_count", "edges", "ruma")
+    __slots__ = __match_args__ + ("successors", "bins")
 
-    def __post_init__(self) -> None:
-        if as_uint(self.vertex_count, "vertex count") < 1:
+    def __init__(
+        self, vertex_count: int, edges: frozenset[tuple[int, int]], ruma: frozenset[int]
+    ) -> None:
+        if as_uint(vertex_count, "vertex count") < 1:
             raise ValueError("a sowing graph needs at least one vertex")
-        _check_vertex_budget(self.vertex_count)
+        _check_vertex_budget(vertex_count)
         edge_list = []
-        for edge in self.edges:
+        for edge in edges:
             if not isinstance(edge, (tuple, list)) or len(edge) != 2:
                 raise ValueError(f"an edge is a (source, target) pair, got {edge!r}")
             edge_list.append((as_uint(edge[0], "edge source"), as_uint(edge[1], "edge target")))
         edges = frozenset(edge_list)
         if len(edges) < len(edge_list):
             raise ValueError("parallel edges are not allowed")
+        out: dict[int, list[int]] = {v: [] for v in range(vertex_count)}
         for a, b in edges:
-            if not (a < self.vertex_count and b < self.vertex_count):
+            if not (a < vertex_count and b < vertex_count):
                 raise ValueError(f"edge ({a}, {b}) references a missing vertex")
-        ruma = frozenset(as_uint(r, "Ruma vertex") for r in self.ruma)
+            out[a].append(b)
+        ruma = frozenset(as_uint(r, "Ruma vertex") for r in ruma)
         if not ruma:
             raise ValueError("the Ruma set must be nonempty")
         for r in ruma:
-            if r >= self.vertex_count:
+            if r >= vertex_count:
                 raise ValueError(f"Ruma vertex {r} does not exist")
+        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "ruma", ruma)
-
-    @cached_property
-    def successors(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {v: [] for v in range(self.vertex_count)}
-        for a, b in self.edges:
-            out[a].append(b)
-        return {v: tuple(sorted(ws)) for v, ws in out.items()}
-
-    @cached_property
-    def bins(self) -> tuple[int, ...]:
-        """Non-Ruma vertices in id order; the displayed board coordinates."""
-        return tuple(v for v in range(self.vertex_count) if v not in self.ruma)
+        object.__setattr__(self, "successors", {v: tuple(sorted(ws)) for v, ws in out.items()})
+        object.__setattr__(self, "bins", tuple(v for v in range(vertex_count) if v not in ruma))
 
     def zero_board(self) -> "GraphBoard":
         return GraphBoard._trusted((0,) * self.vertex_count)
@@ -132,14 +124,13 @@ class SowingGraph:
         return cls(data["vertices"], data["edges"], data["ruma"])
 
 
-@dataclass(frozen=True)
-class GraphBoard:
+class GraphBoard(_Frozen):
     """One non-negative label per vertex; Ruma labels are captured stones."""
 
-    labels: tuple[int, ...]
+    __slots__ = __match_args__ = ("labels",)
 
-    def __post_init__(self) -> None:
-        labels = tuple(self.labels)
+    def __init__(self, labels: tuple[int, ...]) -> None:
+        labels = tuple(labels)
         for count in labels:
             as_uint(count, "vertex label")
         object.__setattr__(self, "labels", labels)
@@ -152,31 +143,59 @@ class GraphBoard:
         return board
 
 
-@dataclass(frozen=True, order=True)
-class Move:
-    """An unplay/sow descriptor: the emptied-or-filled vertex, its Ruma, the walk."""
+class Move(_Frozen):
+    """An unplay/sow descriptor: the emptied-or-filled vertex, its Ruma, the walk.
 
-    vertex: int
-    ruma: int
-    path: tuple[int, ...]
+    Moves order as their ``(vertex, ruma, path)`` tuples.
+    """
+
+    __slots__ = __match_args__ = ("vertex", "ruma", "path")
+
+    def __init__(self, vertex: int, ruma: int, path: tuple[int, ...]) -> None:
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "ruma", ruma)
+        object.__setattr__(self, "path", path)
+
+    def _compare(self, other: object, op) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return op(self._fields(), other._fields())
+
+    def __lt__(self, other: object) -> bool:
+        return self._compare(other, tuple.__lt__)
+
+    def __le__(self, other: object) -> bool:
+        return self._compare(other, tuple.__le__)
+
+    def __gt__(self, other: object) -> bool:
+        return self._compare(other, tuple.__gt__)
+
+    def __ge__(self, other: object) -> bool:
+        return self._compare(other, tuple.__ge__)
 
 
-@dataclass(frozen=True)
-class GameEdge:
+class GameEdge(_Frozen):
     """A sow move between discovered boards, indices into GameGraph.boards."""
 
-    source: int
-    target: int
-    moves: tuple[Move, ...]
+    __slots__ = __match_args__ = ("source", "target", "moves")
+
+    def __init__(self, source: int, target: int, moves: tuple[Move, ...]) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "moves", moves)
 
 
-@dataclass(frozen=True)
-class GameGraph:
+class GameGraph(_Frozen):
     """Winning boards (discovery order) and the sow moves connecting them."""
 
-    boards: tuple[GraphBoard, ...]
-    edges: tuple[GameEdge, ...]
-    truncated: bool = False
+    __slots__ = __match_args__ = ("boards", "edges", "truncated")
+
+    def __init__(
+        self, boards: tuple[GraphBoard, ...], edges: tuple[GameEdge, ...], truncated: bool = False
+    ) -> None:
+        object.__setattr__(self, "boards", boards)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "truncated", truncated)
 
 
 def _check_walk(graph: SowingGraph, path: tuple[int, ...]) -> None:

@@ -146,6 +146,34 @@ class TestCrtSolve:
         with pytest.raises(OverflowError):
             crt_solve([Congruence(0, 2**70), Congruence(0, 3**50)])
 
+    @pytest.mark.parametrize(
+        "residue,modulus,error,match",
+        [
+            (True, 2, ValueError, "residue must be an integer"),
+            (1.5, 2, ValueError, "residue must be an integer"),
+            (1, 2.0, ValueError, "modulus must be an integer"),
+            (0, True, ValueError, "modulus must be an integer"),
+            ("1", 2, ValueError, "residue must be an integer"),
+            (2**200 + 1, 2**200 + 5, OverflowError, "128-bit"),
+            (0, 2**128, OverflowError, "modulus exceeds the 128-bit limit"),
+            (0, 0, ValueError, r"modulus must be positive, got 0"),
+            (3, 3, ValueError, r"residue 3 not in \[0, 3\)"),
+        ],
+        ids=["bool-residue", "float-residue", "float-modulus", "bool-modulus", "str-residue",
+             "both-past-128-bits", "modulus-2^128", "zero-modulus", "residue-too-large"],
+    )
+    def test_congruence_takes_exact_integers_within_128_bits(self, residue, modulus, error, match):
+        with pytest.raises(error, match=match):
+            Congruence(residue, modulus)
+
+    def test_float_residue_is_refused_not_blamed_on_the_gcd(self):
+        with pytest.raises(ValueError, match="residue must be an integer"):
+            crt_solve([Congruence(1.5, 2), Congruence(1, 3)])
+
+    def test_congruence_admits_the_128_bit_limit(self):
+        top = 2**128 - 1
+        assert crt_solve([Congruence(top - 1, top)]) == (top - 1, top)
+
     def test_against_brute_force(self):
         rng = random.Random(1789)
         for _ in range(300):

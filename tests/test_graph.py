@@ -344,11 +344,16 @@ class TestBudgets:
         ],
     )
     def test_vertex_budget(self, build):
+        start = time.perf_counter()
         with pytest.raises(OverflowError, match="vertices exceeds the budget"):
             build()
+        assert time.perf_counter() - start < 0.5
 
     def test_vertex_budget_admits_its_limit(self):
+        # the graph builds its successor lists on construction: time both
+        start = time.perf_counter()
         assert has_finite_game_graph(SowingGraph(2**16, frozenset({(1, 0)}), frozenset({0}))) == (True, None)
+        assert time.perf_counter() - start < 3
 
     def test_cycle_totals_overflow_promptly(self):
         # on two vertices each unplay doubles the refilled label

@@ -99,6 +99,33 @@ def test_command_loads_only_its_modules(argv, path3):
     assert loaded == sorted({"tchoukaillon"} | {f"tchoukaillon.{module}" for module in LOADED[argv]})
 
 
+# Standard modules no command needs: `dataclasses` and what it pulls in
+# cost a `tchouk` child more start-up time than any library module.
+UNLOADED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+# `python -m tchoukaillon.cli`, listing at exit which of UNLOADED it loaded.
+BARE_CHILD = f"""
+import atexit, runpy, sys
+atexit.register(lambda: print(*sorted({sorted(UNLOADED)!r} & sys.modules.keys()), file=sys.stderr))
+runpy.run_module("tchoukaillon.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+# One child per command: its first argv in LOADED.
+FIRST_ARGV = {argv[0]: argv for argv in reversed(LOADED)}
+
+
+@pytest.mark.parametrize("command", sorted(FIRST_ARGV))
+def test_command_loads_no_introspection_modules(command, path3):
+    argv = FIRST_ARGV[command]
+    proc = subprocess.run(
+        [sys.executable, "-c", BARE_CHILD, *[path3 if arg == "PATH3" else arg for arg in argv]],
+        capture_output=True, text=True, env=ENV, timeout=60,
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    assert proc.stderr.splitlines()[-1].split() == []
+
+
 # The names a tracer wraps on the cli module, each with a command that calls it.
 TRACED = {
     "board_from_stones": ["board", "15"],
