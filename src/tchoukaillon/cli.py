@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import re
 import sys
 
@@ -60,6 +59,7 @@ def _emit(fmt: str, doc, rows) -> None:
     ``[a,b,c]`` in a table and ``a,b,c`` in csv.
     """
     if fmt == "json":
+        import json  # loaded only by json output and the JSON input files
         print(json.dumps(doc()))
         return
     sep, bins = (",", "{}") if fmt == "csv" else (" ", "[{}]")
@@ -159,6 +159,7 @@ def _parse_constraints(args: argparse.Namespace) -> PartialConstraint:
     if args.file is not None:
         if args.pairs:
             raise ValueError("give constraints inline or with --file, not both")
+        import json
         with open(args.file, encoding="utf-8") as handle:
             return PartialConstraint.from_json(json.load(handle))
     entries = {}
@@ -191,6 +192,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     _load("graph")
+    import json
     with open(args.file, encoding="utf-8") as handle:
         graph = SowingGraph.from_json(json.load(handle))
     # csv prints what table prints: a message, or one bracketed line per board
@@ -276,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OverflowError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+    except (OverflowError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,15 +11,17 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from functools import lru_cache
 
-from .checked import UINT128_MAX, _Frozen, as_uint
+from .checked import _Frozen, as_uint
 
 PLAY_SEQUENCE_CAP = 10_000_000
 
 # Longest board board_from_stones builds: it admits n up to about 7e13
 # stones (~1.5e7 bins).  A board near the 128-bit limit has ~1e19 bins.
 _MAX_BOARD_BINS = 1 << 24
+
+# The largest i with lcm(2..i+1), the period of bins 1..i, inside 128 bits.
+_MAX_PERIOD_INDEX = 87
 
 
 def _trim(bins: tuple[int, ...]) -> tuple[int, ...]:
@@ -216,26 +218,38 @@ def play_sequence(n: int, cap: int = PLAY_SEQUENCE_CAP) -> list[int]:
     return [_first_played_bin(k) for k in range(n, 0, -1)]
 
 
-@lru_cache(maxsize=1)
-def _max_period_index() -> int:
-    i, value = 1, 2
-    while True:
-        nxt = math.lcm(value, i + 2)
-        if nxt > UINT128_MAX:
-            return i
-        i, value = i + 1, nxt
+def _stage_element(k: int, count: int, limit: int) -> int:
+    # The count-th element of sieve stage k, or some value past *limit*
+    # if it is.  Keeping c elements of stage j+1 takes the first
+    # c + ceil(c/j) of stage j, the last of them kept, so q climbs from
+    # count by q += ceil(q/j) for j = k-1 down to 1, in runs of equal step.
+    q, i = count, k
+    while i > 1 and q <= limit:
+        m = -(-q // (i - 1))
+        # The slack m*(i-1) - q is at most i-2, so steps <= i/2: a run
+        # never passes index 1.
+        steps = (m * (i - 1) - q) // (2 * m) + 1
+        if steps == 1:
+            break
+        q += steps * m
+        i -= steps
+    # Each step left multiplies q by at least (j+1)/j, so the climb ends
+    # at q*i or above.  Below the limit the loop below stays short: the
+    # break left a slack under 2m, so q > i - 3 and i < sqrt(limit) + 3.
+    if q * i > limit:
+        return q * i
+    # Near the Ruma the runs have length 1: finish one index at a time.
+    for j in range(i - 1, 0, -1):
+        q += -(-q // j)
+    return q
 
 
 def minimal_period(i: int) -> int:
     """Exact period of the first *i* bin columns as a function of n: lcm(2..i+1)."""
     if as_uint(i, "column count") < 1:
         raise ValueError("minimal_period requires i >= 1")
-    value = 1
-    for m in range(2, i + 2):
-        value = math.lcm(value, m)
-        if value > UINT128_MAX:
-            raise OverflowError(
-                f"minimal_period({i}) exceeds 128 bits; the largest supported index is "
-                f"{_max_period_index()}"
-            )
-    return value
+    if i > _MAX_PERIOD_INDEX:
+        raise OverflowError(
+            f"minimal_period({i}) exceeds 128 bits; the largest supported index is {_MAX_PERIOD_INDEX}"
+        )
+    return math.lcm(*range(2, i + 2))

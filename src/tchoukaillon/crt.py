@@ -21,14 +21,14 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 
 from .checked import _Frozen, as_uint
-from .core import Board, board_from_stones
+from .core import _MAX_PERIOD_INDEX, Board, board_from_stones
 
 COMPLETION_CAP = 1_000_000
 
 CONSTRAINT_INDEXING = "paper-section-4"
 
-# The first index i at which lcm(2..i) leaves the 128-bit range.
-_PERIOD_OVERFLOW_INDEX = 89
+# The first index i at which lcm(2..i) leaves the 128-bit range: 89.
+_PERIOD_OVERFLOW_INDEX = _MAX_PERIOD_INDEX + 2
 
 
 class Infeasible(Exception):

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .checked import as_uint
-from .core import _MAX_BOARD_BINS, Board
+from .checked import UINT128_MAX, as_uint
+from .core import _MAX_BOARD_BINS, Board, _stage_element
 
 
 def enumerate_boards(length: int) -> Iterator[Board]:
@@ -57,39 +57,31 @@ def enumerate_boards(length: int) -> Iterator[Board]:
         i -= 1
 
 
+def _check_budget(length: int) -> None:
+    if length > _MAX_BOARD_BINS:
+        raise OverflowError(f"board length {length} is beyond the budget of {_MAX_BOARD_BINS} bins")
+
+
 def min_stones(length: int) -> int:
     """Minimum stone count over winning boards of the given length.
 
     Evaluates the nested-ceiling product right to left: starting from
     ``length``, repeatedly raise to the next multiple of i for
-    i = length-1 down to 1.  The value at index i is q*i, and stepping to
-    i-1 adds m = ceil(q/(i-1)) to q; runs of equal m are taken in one
-    step.  Raises OverflowError for a length beyond the bin budget.
+    i = length-1 down to 1: the climb to the first element of sieve
+    stage ``length``.  Raises OverflowError for a length beyond the bin
+    budget.
     """
     if as_uint(length, "board length") < 1:
         raise ValueError("min_stones requires length >= 1")
-    if length > _MAX_BOARD_BINS:
-        raise OverflowError(f"board length {length} is beyond the budget of {_MAX_BOARD_BINS} bins")
-    q, i = 1, length
-    while i > 1:
-        m = -(-q // (i - 1))
-        # The slack m*(i-1) - q is at most i-2, so steps <= i/2: a run
-        # never passes index 1.
-        steps = (m * (i - 1) - q) // (2 * m) + 1
-        if steps == 1:
-            break
-        q += steps * m
-        i -= steps
-    # Near the Ruma the runs have length 1: finish one index at a time.
-    for j in range(i - 1, 0, -1):
-        q += -(-q // j)
-    return as_uint(q, "minimum stone count")
+    _check_budget(length)
+    return as_uint(_stage_element(length, 1, UINT128_MAX), "minimum stone count")
 
 
 def min_stones_sequence(max_length: int) -> list[int]:
-    """The sequence min_stones(1), ..., min_stones(max_length) (OEIS A002491)."""
+    """min_stones(1), ..., min_stones(max_length) (OEIS A002491), refused up front past the budget."""
     if as_uint(max_length, "board length") < 1:
         raise ValueError("min_stones_sequence requires max_length >= 1")
+    _check_budget(max_length)
     return [min_stones(length) for length in range(1, max_length + 1)]
 
 

@@ -170,12 +170,27 @@ class TestNfCommand:
         assert out == ""
         assert err.startswith("error:") and "budget" in err
 
+    def test_sequence_beyond_length_budget_is_usage_error(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "nf", "--sequence", "1000000000000")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"error: board length 1000000000000 is beyond the budget of {2**24} bins\n"
+
 
 class TestSieveCommand:
     def test_stage_three(self, capsys):
         code, out, _ = run(capsys, "sieve", "3", "9")
         assert code == 0
         assert out == "4 6 10 12 16 18 22 24 28\n"
+
+    def test_beyond_scan_cap_is_usage_error(self, capsys):
+        # the head of stage 1800, min_stones(1800), lies past the default cap of 10^6
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sieve", "1800", "1")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == "error: scan cap 1000000 exceeded after 0 of 1 elements of stage 1800\n"
 
 
 class TestReconstructCommand:

@@ -16,8 +16,8 @@ from tchoukaillon import (
     play_sequence,
     unplay,
 )
-from tchoukaillon.checked import as_uint
-from tchoukaillon.core import _max_period_index
+from tchoukaillon.checked import UINT128_MAX, as_uint
+from tchoukaillon.core import _MAX_PERIOD_INDEX
 
 from golden import INITIAL_BOARDS, PLAY_SEQUENCE_6
 
@@ -219,11 +219,13 @@ class TestMinimalPeriod:
         assert minimal_period(i) == expected
 
     def test_overflow_reports_limit(self):
-        limit = _max_period_index()
-        assert 80 <= limit <= 95
-        minimal_period(limit)  # fits
+        limit = _MAX_PERIOD_INDEX
+        assert math.lcm(*range(2, limit + 2)) <= UINT128_MAX < math.lcm(*range(2, limit + 3))
+        assert minimal_period(limit) == math.lcm(*range(2, limit + 2))  # fits
         with pytest.raises(OverflowError, match=str(limit)):
             minimal_period(limit + 1)
+        with pytest.raises(OverflowError, match=f"minimal_period\\(10{'0' * 30}\\)"):
+            minimal_period(10**31)
 
     def test_prefix_periodicity(self):
         # columns repeat with exactly this period; any proper-divisor period

@@ -103,12 +103,23 @@ def test_command_loads_only_its_modules(argv, path3):
 # cost a `tchouk` child more start-up time than any library module.
 UNLOADED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
-# `python -m tchoukaillon.cli`, listing at exit which of UNLOADED it loaded.
-BARE_CHILD = f"""
+
+def bare_child(modules: set[str]) -> str:
+    """`python -m tchoukaillon.cli`, listing at exit which of *modules* it loaded."""
+    return f"""
 import atexit, runpy, sys
-atexit.register(lambda: print(*sorted({sorted(UNLOADED)!r} & sys.modules.keys()), file=sys.stderr))
+atexit.register(lambda: print(*sorted({sorted(modules)!r} & sys.modules.keys()), file=sys.stderr))
 runpy.run_module("tchoukaillon.cli", run_name="__main__", alter_sys=True)
 """
+
+
+def loaded_of(modules: set[str], argv, path3: str) -> list[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", bare_child(modules), *[path3 if arg == "PATH3" else arg for arg in argv]],
+        capture_output=True, text=True, env=ENV, timeout=60,
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    return proc.stderr.splitlines()[-1].split()
 
 
 # One child per command: its first argv in LOADED.
@@ -117,13 +128,24 @@ FIRST_ARGV = {argv[0]: argv for argv in reversed(LOADED)}
 
 @pytest.mark.parametrize("command", sorted(FIRST_ARGV))
 def test_command_loads_no_introspection_modules(command, path3):
-    argv = FIRST_ARGV[command]
-    proc = subprocess.run(
-        [sys.executable, "-c", BARE_CHILD, *[path3 if arg == "PATH3" else arg for arg in argv]],
-        capture_output=True, text=True, env=ENV, timeout=60,
-    )
-    assert proc.returncode in (0, 1), proc.stderr
-    assert proc.stderr.splitlines()[-1].split() == []
+    assert loaded_of(UNLOADED, FIRST_ARGV[command], path3) == []
+
+
+# Commands printing a table, which read and write no JSON.
+TABLE_FORMAT = [
+    ("board", "1000"),
+    ("table", "17"),
+    ("enumerate", "6"),
+    ("nf", "10"),
+    ("nf", "--sequence", "10"),
+    ("sieve", "3", "9"),
+    ("reconstruct", "m5=1", "m6=2"),
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_FORMAT, ids=" ".join)
+def test_table_format_loads_no_json(argv, path3):
+    assert loaded_of({"json"}, argv, path3) == []
 
 
 # The names a tracer wraps on the cli module, each with a command that calls it.

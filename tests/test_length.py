@@ -106,6 +106,15 @@ class TestMinStones:
             min_stones(10**12)
         assert time.perf_counter() - start < 0.05
 
+    def test_sequence_budget_refuses_before_the_first_term(self):
+        # Unrefused, it would compute every term up to 2^24 first.
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match=f"board length {10**12} is beyond the budget of {2**24} bins"):
+            min_stones_sequence(10**12)
+        with pytest.raises(OverflowError, match="budget"):
+            min_stones_sequence(2**24 + 1)
+        assert time.perf_counter() - start < 0.5
+
 
 class TestBounds:
     def test_six(self):

@@ -1,10 +1,10 @@
 """The linear layer's arithmetic fast paths against the per-element oracles.
 
 ``board_from_stones`` walks runs of bins, ``min_stones`` runs of equal
-ceiling steps, ``sieve_stage`` one period of stone counts,
-``play_sequence`` the first played bins, and ``enumerate_boards`` one
-loop over the bins; each must agree exactly with the slow form it
-replaced, kept in ``linear_oracle``.
+ceiling steps, ``sieve_stage`` the position rule up to its last
+element, ``play_sequence`` the first played bins, and
+``enumerate_boards`` one loop over the bins; each must agree exactly
+with the slow form it replaced, kept in ``linear_oracle``.
 """
 
 import math
@@ -72,13 +72,15 @@ def test_check_bounds_closed_form():
         assert check_bounds(length) == (lower, min_stones_by_loop(length), length * (length + 1) // 2)
 
 
-@pytest.mark.parametrize("k", range(1, 10))
+@pytest.mark.parametrize("k", range(1, 13))
 def test_sieve_stage_every_prefix(k):
-    # Every count for the short periods; for k >= 7 every 11th count,
+    # Every count for the short periods; for k = 7..9 every 11th count,
     # which is prime to the number of members per period (60, 105, 280)
-    # and so still ends a prefix at every position within a period.
+    # and so still ends a prefix at every position within a period; past
+    # that a few counts.
     expected = sieve_stage_by_scan(k, 3000, 10**6)
-    for count in range(1, 3001, 1 if k <= 6 else 11):
+    counts = range(1, 3001, 1 if k <= 6 else 11) if k <= 9 else (1, 2, 3, 10, 11, 100, 1001, 2999)
+    for count in counts:
         assert sieve_stage(k, count) == expected[:count], count
     assert sieve_stage(k, 3000) == expected
 

@@ -1,9 +1,12 @@
+import time
+
 import pytest
 
 from tchoukaillon import (
     board_from_stones,
     first_played_bin,
     leftmost_empty,
+    min_stones,
     min_stones_sequence,
     play,
     sieve_stage,
@@ -11,6 +14,7 @@ from tchoukaillon import (
 )
 
 from golden import SIEVE_ROWS
+from linear_oracle import sieve_stage_by_scan
 
 
 class TestFirstPlayedBin:
@@ -54,6 +58,18 @@ class TestSieveStage:
         firsts = [sieve_stage(k, 1)[0] for k in range(1, 21)]
         assert firsts == min_stones_sequence(20)
 
+    def test_min_stones_is_the_head_of_the_scanned_stage(self):
+        # the smallest n whose first played bin is >= L, found by testing every n
+        for length in range(1, 31):
+            assert min_stones(length) == sieve_stage_by_scan(length, 1, 10**6)[0], length
+
+    @pytest.mark.parametrize("k,count", [(10**30, 3), (1800, 1), (10**6, 999_998)])
+    def test_past_the_default_cap_is_refused_promptly(self, k, count):
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match=f"exceeded after 0 of {count} elements of stage {k}$"):
+            sieve_stage(k, count)
+        assert time.perf_counter() - start < 0.05
+
 
 class TestSieveStep:
     def test_published_transition(self):
@@ -62,6 +78,11 @@ class TestSieveStep:
 
     def test_empty(self):
         assert sieve_step([], 3) == []
+
+    def test_leaves_its_argument(self):
+        stage = [1, 2, 3, 4, 5]
+        assert sieve_step(stage, 1) == [2, 4]
+        assert stage == [1, 2, 3, 4, 5]
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_consistency_with_direct_scan(self, k):
