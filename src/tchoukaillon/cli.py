@@ -99,19 +99,21 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise ValueError(f"--bins {columns} would hide bins; the longest board has {last.length}")
     if (n_max + 1) * columns > budget:
         raise OverflowError(f"a table of {n_max + 1} boards by {columns} bins passes the budget of {budget} bins")
-    boards = [board_from_stones(n) for n in range(n_max)] + [last]
+    # Each format reads the boards once, building each as it prints it.
+    boards = map(board_from_stones, range(n_max + 1))
+    header = ["n", "l"] + [f"b{i}" for i in range(1, columns + 1)]
 
     def rows():
-        yield ["n", "l"] + [f"b{i}" for i in range(1, columns + 1)]
+        yield header
         for n, board in enumerate(boards):
             yield [n, board.length, *board.bins] + [0] * (columns - board.length)
 
     cells = rows()
     if args.format == "table":
-        widths = [0] * (columns + 2)
-        for row in rows():
-            widths = list(map(max, widths, map(len, map(str, row))))
-        cells = (map(str.rjust, map(str, row), widths) for row in rows())
+        # Bin i of a winning board holds at most i stones, so no cell is
+        # wider than its header b<i>; n and l are widest in the last row.
+        widths = [len(str(n_max)), len(str(last.length)), *map(len, header[2:])]
+        cells = (map(str.rjust, map(str, row), widths) for row in cells)
     _emit(
         args.format,
         lambda: [{"n": n, "length": board.length, "bins": board.to_json()} for n, board in enumerate(boards)],

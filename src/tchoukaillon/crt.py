@@ -260,33 +260,26 @@ def crt_solve(system: Iterable[Congruence]) -> tuple[int, int]:
     return residue, modulus
 
 
-def _is_prime_power(d: int) -> bool:
-    if d < 2:
-        return False
-    p = 2
-    while p * p <= d:
-        if d % p == 0:
-            while d % p == 0:
-                d //= p
-            return d == 1
-        p += 1
-    return True  # d itself is prime
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
-
-
 def prime_power_divisors(i: int) -> list[int]:
-    """Nontrivial proper divisors of i that are prime powers, ascending."""
-    return [d for d in range(2, i) if i % d == 0 and _is_prime_power(d)]
+    """Nontrivial proper divisors of i that are prime powers, ascending.
+
+    Factors i once: each prime p up to the square root of what is left
+    contributes p, p^2, ... while they divide i, and a prime factor left
+    over contributes itself.  The list is empty exactly when i is prime
+    (or below 2).
+    """
+    found, rest = [], i
+    for p in range(2, i):
+        if p * p > rest:
+            break
+        power = p
+        while rest % p == 0:
+            found.append(power)
+            rest //= p
+            power *= p
+    if rest > 1:
+        found.append(rest)
+    return sorted(d for d in found if d < i)
 
 
 def consistency_conditions(k: int) -> list[tuple[int, int]]:
@@ -426,8 +419,11 @@ def prime_reconstruct(pc: PartialConstraint) -> tuple[int, Board]:
     fits there, and an unconstrained index always has a fitting count.
     The result is that of :func:`reconstruct`, which takes the smallest
     fitting count at every unconstrained index.
+
+    An index from 89 on is not tested: the search refuses the constraint
+    with OverflowError at index 89 first.
     """
     for index, _ in pc.entries:
-        if not _is_prime(index):
+        if index < _PERIOD_OVERFLOW_INDEX and prime_power_divisors(index):
             raise ValueError(f"prime_reconstruct requires prime indices, got {index}")
     return reconstruct(pc)

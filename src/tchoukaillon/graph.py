@@ -13,6 +13,8 @@ runs dry when unplaying.
 
 from __future__ import annotations
 
+import functools
+
 from .checked import _Frozen, as_uint
 
 DEFAULT_BOARD_CAP = 10_000
@@ -143,6 +145,7 @@ class GraphBoard(_Frozen):
         return board
 
 
+@functools.total_ordering
 class Move(_Frozen):
     """An unplay/sow descriptor: the emptied-or-filled vertex, its Ruma, the walk.
 
@@ -156,22 +159,10 @@ class Move(_Frozen):
         object.__setattr__(self, "ruma", ruma)
         object.__setattr__(self, "path", path)
 
-    def _compare(self, other: object, op) -> bool:
+    def __lt__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return op(self._fields(), other._fields())
-
-    def __lt__(self, other: object) -> bool:
-        return self._compare(other, tuple.__lt__)
-
-    def __le__(self, other: object) -> bool:
-        return self._compare(other, tuple.__le__)
-
-    def __gt__(self, other: object) -> bool:
-        return self._compare(other, tuple.__gt__)
-
-    def __ge__(self, other: object) -> bool:
-        return self._compare(other, tuple.__ge__)
+        return self._fields() < other._fields()
 
 
 class GameEdge(_Frozen):

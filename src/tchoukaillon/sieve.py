@@ -31,8 +31,9 @@ def sieve_stage(k: int, count: int, scan_cap: int = SCAN_CAP) -> list[int]:
     last = _stage_element(k, count, scan_cap)
     if last <= scan_cap:
         # The last element is at least k, so the loop is bounded by the cap.
-        stage = list(range(1, last + 1))
-        for j in range(1, k):
+        # Stage 2 is the even numbers; the position rule takes it from there.
+        stage = list(range(1, last + 1)) if k == 1 else list(range(2, last + 1, 2))
+        for j in range(2, k):
             del stage[:: j + 1]
         return stage
     # Too few: count the members up to the cap through the same rule.

@@ -3,10 +3,11 @@
 These are the forms that the library's congruence-carrying search
 replaced: backtracking over every count 0..i-1 at each index, pruned by
 re-summing each prime-power window that ends there; a solve that builds
-one ``Congruence`` per prefix sum and folds them pairwise; and the greedy
+one ``Congruence`` per prefix sum and folds them pairwise; the greedy
 fill for prime-index constraints, which takes at each composite index the
-smallest count meeting its window congruences.  The differential tests
-compare the library against them.
+smallest count meeting its window congruences; and the prime-power
+divisors found by testing every d < i, where the library factors i once.
+The differential tests compare the library against them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections.abc import Iterable, Iterator
 
 from tchoukaillon import Board, Congruence, Infeasible, PartialConstraint, board_from_stones
 from tchoukaillon.checked import as_uint
-from tchoukaillon.crt import COMPLETION_CAP, prime_power_divisors
+from tchoukaillon.crt import COMPLETION_CAP
 
 
 def _violating_pair(system: list[Congruence]) -> tuple[Congruence, Congruence]:
@@ -52,6 +53,29 @@ def crt_solve_pairwise(system: Iterable[Congruence]) -> tuple[int, int]:
         residue = (residue + modulus * t) % lcm
         modulus = lcm
     return residue, modulus
+
+
+def _is_prime_power(d: int) -> bool:
+    if d < 2:
+        return False
+    p = 2
+    while p * p <= d:
+        if d % p == 0:
+            while d % p == 0:
+                d //= p
+            return d == 1
+        p += 1
+    return True  # d itself is prime
+
+
+def prime_power_divisors(i: int) -> list[int]:
+    """Nontrivial proper divisors of i that are prime powers, by testing every d < i."""
+    return [d for d in range(2, i) if i % d == 0 and _is_prime_power(d)]
+
+
+def consistency_conditions(k: int) -> list[tuple[int, int]]:
+    """Every window condition (i, d) with 2 <= i <= k."""
+    return [(i, d) for i in range(2, k + 1) for d in prime_power_divisors(i)]
 
 
 def _window_conditions_hold(values: list[int], i: int) -> bool:

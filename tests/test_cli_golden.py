@@ -1,7 +1,8 @@
 """Exact bytes of `tchouk` output: stdout, stderr and exit code per format.
 
 Each case runs in the default format and with ``--format`` table, json
-and csv; the default must print what table prints.  A case that lists
+and csv; the default must print what table prints.  ``table 12 --bins 11``
+takes its header past b9, where the table's columns widen.  A case that lists
 only table (``dot``) prints the same text for every format.  The graph
 files are a path and a 4-cycle, each with its Ruma at vertex 0.
 """
@@ -120,6 +121,50 @@ GOLDEN = {
             "3,2,1,2,0,0,0,0,0,0,0\n"
             "4,3,0,1,3,0,0,0,0,0,0\n"
             "5,3,1,1,3,0,0,0,0,0,0\n"
+        ), ""),
+    },
+    ("table", "12", "--bins", "11"): {
+        "table": (0, (
+            " n l b1 b2 b3 b4 b5 b6 b7 b8 b9 b10 b11\n"
+            " 0 0  0  0  0  0  0  0  0  0  0   0   0\n"
+            " 1 1  1  0  0  0  0  0  0  0  0   0   0\n"
+            " 2 2  0  2  0  0  0  0  0  0  0   0   0\n"
+            " 3 2  1  2  0  0  0  0  0  0  0   0   0\n"
+            " 4 3  0  1  3  0  0  0  0  0  0   0   0\n"
+            " 5 3  1  1  3  0  0  0  0  0  0   0   0\n"
+            " 6 4  0  0  2  4  0  0  0  0  0   0   0\n"
+            " 7 4  1  0  2  4  0  0  0  0  0   0   0\n"
+            " 8 4  0  2  2  4  0  0  0  0  0   0   0\n"
+            " 9 4  1  2  2  4  0  0  0  0  0   0   0\n"
+            "10 5  0  1  1  3  5  0  0  0  0   0   0\n"
+            "11 5  1  1  1  3  5  0  0  0  0   0   0\n"
+            "12 6  0  0  0  2  4  6  0  0  0   0   0\n"
+        ), ""),
+        "json": (0, (
+            '[{"n": 0, "length": 0, "bins": []}, {"n": 1, "length": 1, "bins": [1]}, {"n": 2, '
+            '"length": 2, "bins": [0, 2]}, {"n": 3, "length": 2, "bins": [1, 2]}, {"n": 4, '
+            '"length": 3, "bins": [0, 1, 3]}, {"n": 5, "length": 3, "bins": [1, 1, 3]}, {"n": '
+            '6, "length": 4, "bins": [0, 0, 2, 4]}, {"n": 7, "length": 4, "bins": [1, 0, 2, '
+            '4]}, {"n": 8, "length": 4, "bins": [0, 2, 2, 4]}, {"n": 9, "length": 4, "bins": '
+            '[1, 2, 2, 4]}, {"n": 10, "length": 5, "bins": [0, 1, 1, 3, 5]}, {"n": 11, '
+            '"length": 5, "bins": [1, 1, 1, 3, 5]}, {"n": 12, "length": 6, "bins": [0, 0, 0, '
+            '2, 4, 6]}]\n'
+        ), ""),
+        "csv": (0, (
+            "n,l,b1,b2,b3,b4,b5,b6,b7,b8,b9,b10,b11\n"
+            "0,0,0,0,0,0,0,0,0,0,0,0,0\n"
+            "1,1,1,0,0,0,0,0,0,0,0,0,0\n"
+            "2,2,0,2,0,0,0,0,0,0,0,0,0\n"
+            "3,2,1,2,0,0,0,0,0,0,0,0,0\n"
+            "4,3,0,1,3,0,0,0,0,0,0,0,0\n"
+            "5,3,1,1,3,0,0,0,0,0,0,0,0\n"
+            "6,4,0,0,2,4,0,0,0,0,0,0,0\n"
+            "7,4,1,0,2,4,0,0,0,0,0,0,0\n"
+            "8,4,0,2,2,4,0,0,0,0,0,0,0\n"
+            "9,4,1,2,2,4,0,0,0,0,0,0,0\n"
+            "10,5,0,1,1,3,5,0,0,0,0,0,0\n"
+            "11,5,1,1,1,3,5,0,0,0,0,0,0\n"
+            "12,6,0,0,0,2,4,6,0,0,0,0,0\n"
         ), ""),
     },
     ("enumerate", "7"): {

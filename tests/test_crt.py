@@ -204,6 +204,13 @@ class TestAllowable:
             for m3 in range(3):
                 assert allowable_check((m2, m3)) == (True, [])
 
+    def test_conditions_up_to_ten_thousand_promptly(self):
+        start = time.perf_counter()
+        conditions = consistency_conditions(10**4)
+        assert time.perf_counter() - start < 0.5
+        assert conditions[:len(WINDOW_CONDITIONS_12)] == WINDOW_CONDITIONS_12
+        assert conditions[-1] == (10**4, 5**4)
+
     def test_realized_prefixes_are_allowable(self):
         for n in range(10_001):
             ok, violations = allowable_check(shifted_prefix(board_from_stones(n), 12))
@@ -390,6 +397,8 @@ class TestPeriodBeyond128Bits:
             (reconstruct, {88: 0, 89: 0, 90: 1}),
             (prime_reconstruct, {89: 0}),
             (lambda pc: list(complete_constraints(pc)), {89: 5}),
+            (prime_reconstruct, {2**61 - 1: 1}),
+            (prime_reconstruct, {91: 1}),
         ],
     )
     def test_refused_promptly(self, solve, entries):

@@ -4,8 +4,9 @@
 prefix-sum congruences solvable; by the allowable-realizable theorem that
 is the tree the window-sum backtracking in ``crt_oracle`` walks, in the
 same order.  Completion lists, ``reconstruct``, ``reconstruct_minimal``
-(its cap included), ``prime_reconstruct`` and ``crt_solve`` must agree
-with the oracle exactly, ``Infeasible`` messages and witnesses included.
+(its cap included), ``prime_reconstruct``, ``crt_solve`` and the
+prime-power window conditions must agree with the oracle exactly,
+``Infeasible`` messages and witnesses included.
 """
 
 import math
@@ -26,7 +27,7 @@ from tchoukaillon import (
     reconstruct,
     reconstruct_minimal,
 )
-from tchoukaillon.crt import _solve_completion
+from tchoukaillon.crt import _solve_completion, prime_power_divisors
 
 PRIMES = [p for p in range(2, 32) if all(p % q for q in range(2, p))]
 
@@ -109,6 +110,16 @@ def test_seeded_broken_pinned_windows_up_to_eighty_eight_end_promptly():
         assert outcome(reconstruct, PartialConstraint(entries))[0] == "Infeasible", entries
         assert time.perf_counter() - start < 0.5, entries
     assert 20 < broken < 180
+
+
+def test_prime_power_divisors_against_the_scan():
+    for i in range(5001):
+        divisors = prime_power_divisors(i)
+        assert divisors == oracle.prime_power_divisors(i), i
+        assert (not divisors) == (i < 2 or oracle._is_prime(i)), i
+    conditions = oracle.consistency_conditions(300)
+    for k in range(2, 301):
+        assert consistency_conditions(k) == [(i, d) for i, d in conditions if i <= k], k
 
 
 def test_completion_cap_at_top_twelve():
