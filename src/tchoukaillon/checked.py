@@ -39,11 +39,12 @@ class _Frozen:
 
     A subclass declares ``__slots__`` (its fields, then anything derived
     from them) and an ``__init__`` that checks its arguments and stores
-    each slot once through ``object.__setattr__``.  Equality, hashing and
-    the repr use the fields in order; instances of different classes are
-    never equal.  Assignment and deletion raise AttributeError.  Pickle
-    and copy rebuild the value through the constructor, which checks the
-    fields again.
+    each slot once through ``object.__setattr__``; a derived slot may
+    instead cache an answer computed later (``Board`` remembers whether
+    it is winning).  Equality, hashing and the repr use the fields in
+    order; instances of different classes are never equal.  Assignment
+    and deletion raise AttributeError.  Pickle and copy rebuild the value
+    through the constructor, which checks the fields again.
     """
 
     __slots__ = ()

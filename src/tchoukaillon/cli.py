@@ -12,6 +12,7 @@ import argparse
 import importlib
 import re
 import sys
+from collections.abc import Iterator
 
 from . import _MODULE_OF
 from .checked import as_uint
@@ -54,13 +55,23 @@ def _emit(fmt: str, doc, rows) -> None:
     """Print a result in *fmt*: the JSON document, or the rows one per line.
 
     Only json calls *doc*, and only csv and table iterate *rows*, so a
-    format builds only what it prints.  Cells are joined by "," in csv
+    format builds only what it prints.  A *doc* that returns an iterator
+    is printed as a JSON array one item at a time, in the bytes
+    ``json.dumps`` gives the whole list.  Cells are joined by "," in csv
     and by a space in a table.  A tuple cell holds bins, printed
     ``[a,b,c]`` in a table and ``a,b,c`` in csv.
     """
     if fmt == "json":
         import json  # loaded only by json output and the JSON input files
-        print(json.dumps(doc()))
+        doc = doc()
+        if not isinstance(doc, Iterator):
+            print(json.dumps(doc))
+            return
+        write = sys.stdout.write
+        write("[")
+        for i, item in enumerate(doc):
+            write(", " + json.dumps(item) if i else json.dumps(item))
+        write("]\n")
         return
     sep, bins = (",", "{}") if fmt == "csv" else (" ", "[{}]")
     for row in rows:
@@ -116,7 +127,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         cells = (map(str.rjust, map(str, row), widths) for row in cells)
     _emit(
         args.format,
-        lambda: [{"n": n, "length": board.length, "bins": board.to_json()} for n, board in enumerate(boards)],
+        lambda: ({"n": n, "length": board.length, "bins": board.to_json()} for n, board in enumerate(boards)),
         cells,
     )
     return 0

@@ -37,21 +37,32 @@ class Board(_Frozen):
     ``bins[0]`` is bin 1 (adjacent to the Ruma).  Trailing zero bins are
     trimmed on construction, so equality and hashing see one canonical
     representation per board.
+
+    A board also records whether it is known to be winning.  This is not
+    a field: equality, hashing, the repr, pickling and copying use
+    ``bins`` alone.  The boards built by :func:`board_from_stones`,
+    :func:`unplay`, :func:`play` and ``length.enumerate_boards`` are
+    winning by construction and say so; a board built with ``Board(...)``
+    starts unknown, and :func:`is_winning` checks it once and remembers.
     """
 
-    __slots__ = __match_args__ = ("bins",)
+    __match_args__ = ("bins",)
+    __slots__ = __match_args__ + ("_winning",)
 
     def __init__(self, bins: tuple[int, ...] = ()) -> None:
         bins = tuple(bins)
         for count in bins:
             as_uint(count, "bin count")
         object.__setattr__(self, "bins", _trim(bins))
+        object.__setattr__(self, "_winning", None)
 
     @classmethod
-    def _trusted(cls, bins: tuple[int, ...]) -> "Board":
+    def _trusted(cls, bins: tuple[int, ...], winning: bool | None = None) -> "Board":
         # Bins the library derived itself: trimmed, but not re-checked.
+        # *winning* is True only where the construction proves it.
         board = object.__new__(cls)
         object.__setattr__(board, "bins", _trim(bins))
+        object.__setattr__(board, "_winning", winning)
         return board
 
     @property
@@ -118,7 +129,7 @@ def board_from_stones(n: int) -> Board:
             f"the board with {n} stones may have up to {bound} bins, "
             f"beyond the budget of {_MAX_BOARD_BINS}"
         )
-    return Board._trusted(tuple(itertools.chain.from_iterable(_bin_runs(n))))
+    return Board._trusted(tuple(itertools.chain.from_iterable(_bin_runs(n))), winning=True)
 
 
 def leftmost_empty(board: Board) -> int:
@@ -129,15 +140,12 @@ def leftmost_empty(board: Board) -> int:
     return board.length + 1
 
 
-def is_winning(board: Board) -> bool:
-    """True iff the board can be cleared by legal sowing.
-
-    Characterization: every bin satisfies ``bins[i] <= i`` and every
-    upper partial sum ``bins[i] + ... + bins[length]`` is divisible by i.
-    """
+def _winning_bins(bins: tuple[int, ...]) -> bool:
+    # The one O(length) check: bins[i] <= i and every upper partial sum
+    # bins[i] + ... + bins[length] divisible by i.
     suffix = 0
-    for i in range(board.length, 0, -1):
-        count = board.bins[i - 1]
+    for i in range(len(bins), 0, -1):
+        count = bins[i - 1]
         if count > i:
             return False
         suffix += count
@@ -146,38 +154,54 @@ def is_winning(board: Board) -> bool:
     return True
 
 
+def is_winning(board: Board) -> bool:
+    """True iff the board can be cleared by legal sowing.
+
+    Characterization: every bin satisfies ``bins[i] <= i`` and every
+    upper partial sum ``bins[i] + ... + bins[length]`` is divisible by i.
+    Boards from :func:`board_from_stones`, :func:`unplay`, :func:`play`
+    and ``length.enumerate_boards`` are known to be winning and answer in
+    O(1); any other board is checked in O(length) on the first call and
+    keeps the answer.
+    """
+    winning = board._winning
+    if winning is None:
+        winning = _winning_bins(board.bins)
+        object.__setattr__(board, "_winning", winning)
+    return winning
+
+
 def unplay(board: Board) -> Board:
     """The winning board with one more stone.
 
     Takes a stone from the Ruma and one from each bin before the leftmost
-    empty bin p, dropping all p collected stones into bin p.
+    empty bin p, dropping all p collected stones into bin p.  Raises
+    ValueError unless :func:`is_winning` holds, which costs O(1) on a
+    board the library built; the result is known to be winning.
     """
     if not is_winning(board):
         raise ValueError("unplay is defined only for winning boards")
     p = leftmost_empty(board)
-    bins = list(board.bins) + [0] * (p - board.length)
-    for j in range(p - 1):
-        bins[j] -= 1
-    bins[p - 1] = p
-    return Board._trusted(tuple(bins))
+    bins = board.bins
+    filled = tuple(count - 1 for count in bins[: p - 1]) + (p,)
+    return Board._trusted(filled + bins[p:], winning=True)
 
 
 def play(board: Board) -> tuple[Board, int]:
     """Sow the harvestable bin closest to the Ruma; returns (board, bin played).
 
     Exactly one stone reaches the Ruma.  Only nonempty winning boards have
-    a legal move.
+    a legal move; like :func:`unplay`, the check costs O(1) on a board the
+    library built, and the result is known to be winning.
     """
     if board.length == 0:
         raise ValueError("cannot play the empty board")
     if not is_winning(board):
         raise ValueError("play is defined only for winning boards")
-    target = next(i for i in range(1, board.length + 1) if board.bins[i - 1] == i)
-    bins = list(board.bins)
-    bins[target - 1] = 0
-    for j in range(target - 1):
-        bins[j] += 1
-    return Board._trusted(tuple(bins)), target
+    bins = board.bins
+    target = next(i for i in range(1, len(bins) + 1) if bins[i - 1] == i)
+    sown = tuple(count + 1 for count in bins[: target - 1]) + (0,)
+    return Board._trusted(sown + bins[target:], winning=True), target
 
 
 def _first_played_bin(n: int) -> int:

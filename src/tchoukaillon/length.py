@@ -12,6 +12,10 @@ from collections.abc import Iterator
 from .checked import UINT128_MAX, as_uint
 from .core import _MAX_BOARD_BINS, Board, _stage_element
 
+# Each term costs about L^(2/3) steps, so the longest admitted sequence
+# takes a few seconds (16,384 terms take about 1 s, 32,768 about 3 s).
+SEQUENCE_CAP = 1 << 15
+
 
 def enumerate_boards(length: int) -> Iterator[Board]:
     """All winning boards of exactly this length, in increasing stone order.
@@ -48,7 +52,7 @@ def enumerate_boards(length: int) -> Iterator[Board]:
         if not boards_left:
             raise OverflowError(refusal)
         boards_left -= 1
-        yield Board._trusted(tuple(bins))
+        yield Board._trusted(tuple(bins), winning=True)
         if not branches:
             return
         i, suffix = branches.pop()
@@ -77,11 +81,18 @@ def min_stones(length: int) -> int:
     return as_uint(_stage_element(length, 1, UINT128_MAX), "minimum stone count")
 
 
-def min_stones_sequence(max_length: int) -> list[int]:
-    """min_stones(1), ..., min_stones(max_length) (OEIS A002491), refused up front past the budget."""
+def min_stones_sequence(max_length: int, cap: int = SEQUENCE_CAP) -> list[int]:
+    """min_stones(1), ..., min_stones(max_length) (OEIS A002491).
+
+    Refused up front, before any term: OverflowError for a length beyond
+    the bin budget, as min_stones does, and ValueError for more than
+    *cap* terms.
+    """
     if as_uint(max_length, "board length") < 1:
         raise ValueError("min_stones_sequence requires max_length >= 1")
     _check_budget(max_length)
+    if max_length > as_uint(cap, "term cap"):
+        raise ValueError(f"min_stones_sequence refuses max_length={max_length} above the cap of {cap} terms")
     return [min_stones(length) for length in range(1, max_length + 1)]
 
 

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,18 @@ TABLE_17 = """\
 16 6  0  1  3  2  4  6
 17 6  1  1  3  2  4  6
 """
+
+
+class Sink:
+    """A stdout that counts the characters written and keeps none."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+    def flush(self):
+        pass
 
 
 def run(capsys, *argv):
@@ -121,6 +135,26 @@ class TestTableCommand:
         assert out == ""
         assert err.startswith("error:") and "budget" in err
 
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 40, 300])
+    def test_json_is_the_whole_list_dumped_at_once(self, capsys, n_max):
+        _, out, _ = run(capsys, "table", str(n_max), "--format", "json")
+        rows = [{"n": n, "length": board_from_stones(n).length, "bins": list(board_from_stones(n).bins)}
+                for n in range(n_max + 1)]
+        assert out == json.dumps(rows) + "\n"
+
+    def test_json_holds_one_board_at_a_time(self, monkeypatch):
+        # The 2,001 rows of the list take about 2 MB; one row, a few KB.
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(["table", "2000", "--format", "json"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 400_000
+        assert peak < 200_000
+
     def test_negative_bins_rejected(self, capsys):
         code, out, err = run(capsys, "table", "0", "--bins", "-1")
         assert code == 2
@@ -176,6 +210,14 @@ class TestNfCommand:
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
         assert err == f"error: board length 1000000000000 is beyond the budget of {2**24} bins\n"
+
+    def test_sequence_beyond_term_cap_is_usage_error(self, capsys):
+        # Inside the length budget, but about three days of terms.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "nf", "--sequence", str(2**24))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"error: min_stones_sequence refuses max_length={2**24} above the cap of {2**15} terms\n"
 
 
 class TestSieveCommand:

@@ -26,6 +26,7 @@ from tchoukaillon import (
     remainder_board,
     shifted_prefix,
 )
+from tchoukaillon.crt import CONDITIONS_CAP, prime_power_divisors
 
 from golden import (
     BOARD_29,
@@ -210,6 +211,40 @@ class TestAllowable:
         assert time.perf_counter() - start < 0.5
         assert conditions[:len(WINDOW_CONDITIONS_12)] == WINDOW_CONDITIONS_12
         assert conditions[-1] == (10**4, 5**4)
+
+    def test_conditions_up_to_ten_to_the_five_are_admitted(self):
+        conditions = consistency_conditions(10**5)
+        assert len(conditions) == 333_914
+        assert conditions[-1] == (10**5, 5**5)
+
+    @pytest.mark.parametrize(
+        "call,args",
+        [
+            (consistency_conditions, (10**9,)),
+            (consistency_conditions, (CONDITIONS_CAP + 1,)),
+            (consistency_conditions, (13, 12)),
+            (allowable_check, ([0] * CONDITIONS_CAP,)),
+            (prime_power_divisors, (2**61 - 1,)),
+            (prime_power_divisors, (2**24 + 1,)),
+            (prime_power_divisors, (13, 12)),
+        ],
+        ids=["conditions-1e9", "conditions-cap+1", "conditions-13-cap-12", "allowable-cap",
+             "divisors-2^61-1", "divisors-2^24+1", "divisors-13-cap-12"],
+    )
+    def test_budgets_refuse_up_front(self, call, args):
+        # Unrefused, k = 10^9 lists billions of pairs and 2^61 - 1 takes
+        # about 1.5e9 trial divisions.
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="budget"):
+            call(*args)
+        assert time.perf_counter() - start < 0.05
+
+    def test_budgets_admit_their_caps(self):
+        assert consistency_conditions(12, cap=12) == WINDOW_CONDITIONS_12
+        assert prime_power_divisors(2**24) == [2**j for j in range(1, 24)]
+        assert prime_power_divisors(12, cap=12) == [2, 3, 4]
+        with pytest.raises(ValueError, match="index must be an integer"):
+            prime_power_divisors(True)
 
     def test_realized_prefixes_are_allowable(self):
         for n in range(10_001):

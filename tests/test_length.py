@@ -115,6 +115,24 @@ class TestMinStones:
             min_stones_sequence(2**24 + 1)
         assert time.perf_counter() - start < 0.5
 
+    def test_sequence_cap_refuses_before_the_first_term(self):
+        # Inside the length budget, 2^24 terms would take about three days.
+        start = time.perf_counter()
+        for length in (2**15 + 1, 2**24):
+            with pytest.raises(ValueError, match=f"max_length={length} above the cap of {2**15} terms"):
+                min_stones_sequence(length)
+        assert time.perf_counter() - start < 0.05
+
+    def test_sequence_cap_is_a_parameter(self):
+        assert min_stones_sequence(7, cap=7) == MIN_STONES_PREFIX
+        with pytest.raises(ValueError, match="cap of 6 terms"):
+            min_stones_sequence(7, cap=6)
+        with pytest.raises(ValueError, match="term cap must be an integer"):
+            min_stones_sequence(7, cap=7.0)
+        # The length budget is checked first, so its message stays.
+        with pytest.raises(OverflowError, match="budget"):
+            min_stones_sequence(2**24 + 1, cap=2**30)
+
 
 class TestBounds:
     def test_six(self):
