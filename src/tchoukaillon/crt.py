@@ -21,13 +21,17 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 
 from .checked import _Frozen, as_uint
-from .core import _MAX_BOARD_BINS, _MAX_PERIOD_INDEX, Board, board_from_stones
+from .core import _MAX_PERIOD_INDEX, Board, board_from_stones
 
 COMPLETION_CAP = 1_000_000
 
 # The largest prefix whose window conditions are listed: about 3.4 pairs
 # per index, so 441,212 pairs (about 37 MB, 1 s) at the cap.
 CONDITIONS_CAP = 1 << 17
+
+# The largest index prime_power_divisors factors: trial division takes up
+# to sqrt(i) steps, 4,096 at the cap.
+FACTORING_CAP = 1 << 24
 
 CONSTRAINT_INDEXING = "paper-section-4"
 
@@ -265,22 +269,17 @@ def crt_solve(system: Iterable[Congruence]) -> tuple[int, int]:
     return residue, modulus
 
 
-def prime_power_divisors(i: int, cap: int = _MAX_BOARD_BINS) -> list[int]:
+def prime_power_divisors(i: int, cap: int = FACTORING_CAP) -> list[int]:
     """Nontrivial proper divisors of i that are prime powers, ascending.
 
     Factors i once: each prime p up to the square root of what is left
     contributes p, p^2, ... while they divide i, and a prime factor left
     over contributes itself.  The list is empty exactly when i is prime
     (or below 2).  Raises OverflowError, before dividing, for an index
-    above *cap*: trial division takes up to sqrt(i) steps, 4,096 at the
-    default cap, the bin budget.
+    above *cap*.
     """
     if as_uint(i, "index") > as_uint(cap, "index cap"):
         raise OverflowError(f"index {i} is beyond the budget of {cap} for factoring")
-    return _prime_power_divisors(i)
-
-
-def _prime_power_divisors(i: int) -> list[int]:
     found, rest = [], i
     for p in range(2, i):
         if p * p > rest:
@@ -295,6 +294,11 @@ def _prime_power_divisors(i: int) -> list[int]:
     return sorted(d for d in found if d < i)
 
 
+def _refuse_conditions_past(k: int, cap: int) -> None:
+    if k > as_uint(cap, "prefix cap"):
+        raise OverflowError(f"the window conditions up to index {k} pass the budget of {cap} indices")
+
+
 def consistency_conditions(k: int, cap: int = CONDITIONS_CAP) -> list[tuple[int, int]]:
     """All window conditions (i, d) active on prefixes m_2..m_k.
 
@@ -305,9 +309,8 @@ def consistency_conditions(k: int, cap: int = CONDITIONS_CAP) -> list[tuple[int,
     """
     if as_uint(k, "prefix index") < 2:
         raise ValueError("prefixes start at index 2")
-    if k > as_uint(cap, "prefix cap"):
-        raise OverflowError(f"the window conditions up to index {k} pass the budget of {cap} indices")
-    return [(i, d) for i in range(2, k + 1) for d in _prime_power_divisors(i)]
+    _refuse_conditions_past(k, cap)
+    return [(i, d) for i in range(2, k + 1) for d in prime_power_divisors(i)]
 
 
 def allowable_check(values: Iterable[int]) -> tuple[bool, list[tuple[int, int]]]:
@@ -318,11 +321,12 @@ def allowable_check(values: Iterable[int]) -> tuple[bool, list[tuple[int, int]]]
     as :func:`consistency_conditions` refuses it, before any count is read.
     """
     values = tuple(values)
-    conditions = consistency_conditions(len(values) + 1) if values else []
+    _refuse_conditions_past(len(values) + 1, CONDITIONS_CAP)
     for offset, count in enumerate(values):
         index = offset + 2
         if as_uint(count, f"count at index {index}") >= index:
             raise ValueError(f"count {count} out of range [0, {index}) at index {index}")
+    conditions = consistency_conditions(len(values) + 1) if values else []
     violations = [(i, d) for i, d in conditions if sum(values[i - d - 1 : i - 1]) % d]
     return not violations, violations
 
@@ -351,7 +355,7 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
     fixed = pc.as_dict()
     for i, _ in pc.entries:
         if i < _PERIOD_OVERFLOW_INDEX and i - 1 in fixed:
-            for d in _prime_power_divisors(i):
+            for d in prime_power_divisors(i):
                 window = range(i - d + 1, i + 1)
                 if all(j in fixed for j in window) and sum(fixed[j] for j in window) % d:
                     return
@@ -439,6 +443,6 @@ def prime_reconstruct(pc: PartialConstraint) -> tuple[int, Board]:
     with OverflowError at index 89 first.
     """
     for index, _ in pc.entries:
-        if index < _PERIOD_OVERFLOW_INDEX and _prime_power_divisors(index):
+        if index < _PERIOD_OVERFLOW_INDEX and prime_power_divisors(index):
             raise ValueError(f"prime_reconstruct requires prime indices, got {index}")
     return reconstruct(pc)

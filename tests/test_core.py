@@ -210,7 +210,7 @@ class TestIsWinning:
 
     def test_all_constructed_boards_win(self):
         for n in range(400):
-            assert is_winning(board_from_stones(n))
+            assert is_winning(Board(board_from_stones(n).bins))
 
 
 class TestMinimalPeriod:

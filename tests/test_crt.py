@@ -239,6 +239,12 @@ class TestAllowable:
             call(*args)
         assert time.perf_counter() - start < 0.05
 
+    def test_bad_count_is_refused_before_the_conditions_are_listed(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="count 5 out of range"):
+            allowable_check([5] + [0] * (CONDITIONS_CAP - 2))
+        assert time.perf_counter() - start < 0.05
+
     def test_budgets_admit_their_caps(self):
         assert consistency_conditions(12, cap=12) == WINDOW_CONDITIONS_12
         assert prime_power_divisors(2**24) == [2**j for j in range(1, 24)]

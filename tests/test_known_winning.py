@@ -76,6 +76,11 @@ class TestMarkedBoardsWin:
             for board in enumerate_boards(length):
                 assert_known_winning(board)
 
+    def test_enumerate_boards_of_length_2000(self):
+        boards = list(enumerate_boards(2000))
+        for board in boards[:: len(boards) // 20]:
+            assert_known_winning(board)
+
     @pytest.mark.parametrize(
         "solve,entries",
         [
