@@ -10,7 +10,7 @@ silently growing.
 
 The library's value classes derive from :class:`_Frozen`, which gives
 them equality, hashing, a repr, immutability and pickling from their
-fields.
+fields; a copy of one is the value itself.
 """
 
 from __future__ import annotations
@@ -43,8 +43,10 @@ class _Frozen:
     instead cache an answer computed later (``Board`` remembers whether
     it is winning).  Equality, hashing and the repr use the fields in
     order; instances of different classes are never equal.  Assignment
-    and deletion raise AttributeError.  Pickle and copy rebuild the value
-    through the constructor, which checks the fields again.
+    and deletion raise AttributeError.  A copy, shallow or deep, is the
+    value itself, as for ``tuple`` and ``frozenset``, so a board keeps
+    its known-winning mark.  Pickle rebuilds the value through the
+    constructor, which checks the fields again: unpickled bytes are input.
     """
 
     __slots__ = ()
@@ -70,6 +72,11 @@ class _Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __copy__(self, memo: dict | None = None) -> _Frozen:
+        return self
+
+    __deepcopy__ = __copy__
 
     def __reduce__(self) -> tuple:
         return self.__class__, self._fields()

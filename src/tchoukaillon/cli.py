@@ -9,46 +9,31 @@ negatives (infeasible constraints, infinite or truncated game graphs),
 from __future__ import annotations
 
 import argparse
-import importlib
 import re
 import sys
 from collections.abc import Iterator
+from itertools import chain, islice, repeat
 
 from . import _MODULE_OF
 from .checked import as_uint
 
 FORMATS = ("table", "json", "csv")
 
-# The library names the commands call; the package's table says which
-# module defines each.  A command binds the names of the modules it
-# needs with _load before it calls them, so `tchouk board` never imports
-# crt or graph.  The names are this module's attributes, read at each
-# call, so that a caller who replaces one (a tracer, say) sees the
-# commands use the replacement.
-_NAMES = (
-    "board_from_stones", "play_sequence",
-    "Infeasible", "PartialConstraint", "reconstruct", "reconstruct_minimal",
-    "SowingGraph", "enumerate_winning_boards", "game_graph_to_dot", "game_graph_to_json",
-    "has_finite_game_graph",
-    "check_bounds", "enumerate_boards", "min_stones", "min_stones_sequence",
-    "sieve_stage",
-)
-
-
-def _load(module: str):
-    """Bind the names taken from *module*, keeping any already bound; return the module."""
-    library = importlib.import_module(f"{__package__}.{module}")
-    for name in _NAMES:
-        if _MODULE_OF[name] == module and name not in globals():
-            globals()[name] = getattr(library, name)
-    return library
+_CHUNK = 4096  # cells or bins per write of a long row
 
 
 def __getattr__(name: str):
-    if name not in _NAMES:
+    # A library name is bound here on first read, through the package's
+    # hook, which imports only its module: `tchouk board` never imports
+    # crt or graph.  Commands read names off this module (_lib) at each
+    # call, so a replacement set here (a tracer, say) is what they call.
+    if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(_MODULE_OF[name])
-    return globals()[name]
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
+
+_lib = sys.modules[__name__]
 
 
 def _emit(fmt: str, doc, rows) -> None:
@@ -58,26 +43,32 @@ def _emit(fmt: str, doc, rows) -> None:
     format builds only what it prints.  A *doc* that returns an iterator
     is printed as a JSON array one item at a time, in the bytes
     ``json.dumps`` gives the whole list.  Cells are joined by "," in csv
-    and by a space in a table.  A tuple cell holds bins, printed
-    ``[a,b,c]`` in a table and ``a,b,c`` in csv.
+    and by a space in a table.  A row that is a tuple holds bins, printed
+    ``[a,b,c]`` in a table and ``a,b,c`` in csv.  A row is written in
+    pieces of at most ``_CHUNK`` cells, so a short row takes one write
+    and a long one is never held whole as text.
     """
+    write = sys.stdout.write
     if fmt == "json":
         import json  # loaded only by json output and the JSON input files
         doc = doc()
         if not isinstance(doc, Iterator):
             print(json.dumps(doc))
             return
-        write = sys.stdout.write
         write("[")
         for i, item in enumerate(doc):
             write(", " + json.dumps(item) if i else json.dumps(item))
         write("]\n")
         return
-    sep, bins = (",", "{}") if fmt == "csv" else (" ", "[{}]")
+    sep, bins = (",", ("", "")) if fmt == "csv" else (" ", ("[", "]"))
     for row in rows:
-        print(sep.join([
-            bins.format(",".join(map(str, cell))) if isinstance(cell, tuple) else str(cell) for cell in row
-        ]))
+        joiner, (text, close) = (",", bins) if isinstance(row, tuple) else (sep, ("", ""))
+        cells = map(str, row)
+        text += joiner.join(islice(cells, _CHUNK))
+        while chunk := list(islice(cells, _CHUNK)):
+            write(text)
+            text = joiner + joiner.join(chunk)
+        write(text + close + "\n")
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -85,45 +76,48 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_board(args: argparse.Namespace) -> int:
-    _load("core")
-    board = board_from_stones(args.n)
-    moves = {"moves": play_sequence(args.n)} if args.moves else {}
+    board = _lib.board_from_stones(args.n)
+    moves = {"moves": _lib.play_sequence(args.n)} if args.moves else {}
     _emit(
         args.format,
         lambda: {"bins": board.to_json(), "stones": board.stones, "length": board.length, **moves},
-        [[board.bins], *moves.values()],
+        [board.bins, *moves.values()],
     )
     return 0
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    core = _load("core")
+    from .core import _MAX_BOARD_BINS as budget
+
     n_max = as_uint(args.n_max, "n_max")
-    budget = core._MAX_BOARD_BINS
     # Every board past n = 0 has a bin, so more rows than the budget never fit.
     if n_max >= budget:
         raise OverflowError(f"a table of {n_max + 1} boards passes the budget of {budget} bins")
     # Board length never decreases in n, so the last board is the longest.
-    last = board_from_stones(n_max)
+    last = _lib.board_from_stones(n_max)
     columns = last.length if args.bins is None else as_uint(args.bins, "--bins")
     if columns < last.length:
         raise ValueError(f"--bins {columns} would hide bins; the longest board has {last.length}")
     if (n_max + 1) * columns > budget:
         raise OverflowError(f"a table of {n_max + 1} boards by {columns} bins passes the budget of {budget} bins")
     # Each format reads the boards once, building each as it prints it.
-    boards = map(board_from_stones, range(n_max + 1))
-    header = ["n", "l"] + [f"b{i}" for i in range(1, columns + 1)]
+    boards = map(_lib.board_from_stones, range(n_max + 1))
+
+    # The header and the rows are iterators: a row of 2^24 cells is never a list.
+    def names():
+        return map("b{}".format, range(1, columns + 1))
 
     def rows():
-        yield header
+        yield chain(("n", "l"), names())
         for n, board in enumerate(boards):
-            yield [n, board.length, *board.bins] + [0] * (columns - board.length)
+            yield chain((n, board.length), board.bins, repeat(0, columns - board.length))
 
     cells = rows()
     if args.format == "table":
         # Bin i of a winning board holds at most i stones, so no cell is
         # wider than its header b<i>; n and l are widest in the last row.
-        widths = [len(str(n_max)), len(str(last.length)), *map(len, header[2:])]
+        # Each width fits in a byte: 2^24 columns take 16 MiB, not a list.
+        widths = bytes(chain((len(str(n_max)), len(str(last.length))), map(len, names())))
         cells = (map(str.rjust, map(str, row), widths) for row in cells)
     _emit(
         args.format,
@@ -134,33 +128,30 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    _load("length")
-    boards = list(enumerate_boards(args.length))
-    _emit(args.format, lambda: [board.to_json() for board in boards], ([board.bins] for board in boards))
+    boards = list(_lib.enumerate_boards(args.length))
+    _emit(args.format, lambda: [board.to_json() for board in boards], (board.bins for board in boards))
     return 0
 
 
 def cmd_nf(args: argparse.Namespace) -> int:
-    _load("length")
     if args.sequence is not None and args.length is not None:
         raise ValueError("give either a single length or --sequence, not both")
     if args.sequence is not None:
-        values = min_stones_sequence(args.sequence)
+        values = _lib.min_stones_sequence(args.sequence)
         _emit(args.format, lambda: values, [values])
     elif args.length is None:
         raise ValueError("a length (or --sequence) is required")
     elif args.bounds:
-        lower, value, upper = check_bounds(args.length)
+        lower, value, upper = _lib.check_bounds(args.length)
         _emit(args.format, lambda: {"lower": lower, "value": value, "upper": upper}, [[lower, value, upper]])
     else:
-        value = min_stones(args.length)
+        value = _lib.min_stones(args.length)
         _emit(args.format, lambda: {"value": value}, [[value]])
     return 0
 
 
 def cmd_sieve(args: argparse.Namespace) -> int:
-    _load("sieve")
-    values = sieve_stage(args.k, args.count)
+    values = _lib.sieve_stage(args.k, args.count)
     _emit(args.format, lambda: values, [values])
     return 0
 
@@ -174,7 +165,7 @@ def _parse_constraints(args: argparse.Namespace) -> PartialConstraint:
             raise ValueError("give constraints inline or with --file, not both")
         import json
         with open(args.file, encoding="utf-8") as handle:
-            return PartialConstraint.from_json(json.load(handle))
+            return _lib.PartialConstraint.from_json(json.load(handle))
     entries = {}
     for pair in args.pairs:
         match = _PAIR.fullmatch(pair)
@@ -184,45 +175,43 @@ def _parse_constraints(args: argparse.Namespace) -> PartialConstraint:
         if index in entries:
             raise ValueError(f"duplicate constraint for index {index}")
         entries[index] = int(match.group(2))
-    return PartialConstraint(entries)
+    return _lib.PartialConstraint(entries)
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    _load("crt")
     pc = _parse_constraints(args)
     try:
-        n, board = reconstruct_minimal(pc) if args.minimal else reconstruct(pc)
-    except Infeasible as exc:
+        n, board = _lib.reconstruct_minimal(pc) if args.minimal else _lib.reconstruct(pc)
+    except _lib.Infeasible as exc:
         print(f"infeasible: {exc}")
         return 1
     _emit(
         args.format,
         lambda: {"n": n, "bins": board.to_json(), "minimal": bool(args.minimal)},
-        [[f"n={n}" if args.format == "table" else n], [board.bins]],
+        [[f"n={n}" if args.format == "table" else n], board.bins],
     )
     return 0
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    _load("graph")
     import json
     with open(args.file, encoding="utf-8") as handle:
-        graph = SowingGraph.from_json(json.load(handle))
+        graph = _lib.SowingGraph.from_json(json.load(handle))
     # csv prints what table prints: a message, or one bracketed line per board
     fmt = "json" if args.format == "json" else "table"
     if args.action == "check-finite":
-        finite, witness = has_finite_game_graph(graph)
+        finite, witness = _lib.has_finite_game_graph(graph)
         if finite:
             text = "finite"
         else:
             text = "infinite: ruma {} and vertex {} lie on a common directed cycle".format(*witness)
         _emit(fmt, lambda: {"finite": finite, "witness": list(witness) if witness else None}, [[text]])
         return 0 if finite else 1
-    game = enumerate_winning_boards(graph, cap=args.cap)
+    game = _lib.enumerate_winning_boards(graph, cap=args.cap)
     if args.action == "dot":
-        print(game_graph_to_dot(graph, game))
+        print(_lib.game_graph_to_dot(graph, game))
     else:
-        _emit(fmt, lambda: game_graph_to_json(graph, game), ([graph.bin_labels(b)] for b in game.boards))
+        _emit(fmt, lambda: _lib.game_graph_to_json(graph, game), (graph.bin_labels(b) for b in game.boards))
     if game.truncated:
         print(f"truncated at cap={args.cap}", file=sys.stderr)
         return 1

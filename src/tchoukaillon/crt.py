@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import accumulate
 
 from .checked import _Frozen, as_uint
 from .core import _MAX_PERIOD_INDEX, Board, board_from_stones
@@ -327,7 +328,8 @@ def allowable_check(values: Iterable[int]) -> tuple[bool, list[tuple[int, int]]]
         if as_uint(count, f"count at index {index}") >= index:
             raise ValueError(f"count {count} out of range [0, {index}) at index {index}")
     conditions = consistency_conditions(len(values) + 1) if values else []
-    violations = [(i, d) for i, d in conditions if sum(values[i - d - 1 : i - 1]) % d]
+    total = list(accumulate(values, initial=0))  # total[j] sums values[:j]
+    violations = [(i, d) for i, d in conditions if (total[i - 1] - total[i - d - 1]) % d]
     return not violations, violations
 
 

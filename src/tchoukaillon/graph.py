@@ -444,12 +444,10 @@ def enumerate_winning_boards(graph: SowingGraph, cap: int = DEFAULT_BOARD_CAP) -
 
 
 def make_path(length: int) -> SowingGraph:
-    """Directed path of *length* bins feeding a single Ruma sink: the linear game."""
+    """Directed path of *length* bins feeding a single Ruma sink: the linear game, a one-spoke star."""
     if as_uint(length, "path length") < 1:
         raise ValueError("length must be >= 1")
-    _check_vertex_budget(length + 1)
-    edges = {(1, 0)} | {(i, i - 1) for i in range(2, length + 1)}
-    return SowingGraph(length + 1, frozenset(edges), frozenset({0}))
+    return make_star(1, length)
 
 
 def make_cycle(length: int) -> SowingGraph:

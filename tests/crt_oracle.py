@@ -5,8 +5,10 @@ replaced: backtracking over every count 0..i-1 at each index, pruned by
 re-summing each prime-power window that ends there; a solve that builds
 one ``Congruence`` per prefix sum and folds them pairwise; the greedy
 fill for prime-index constraints, which takes at each composite index the
-smallest count meeting its window congruences; and the prime-power
-divisors found by testing every d < i, where the library factors i once.
+smallest count meeting its window congruences; the prime-power
+divisors found by testing every d < i, where the library factors i once;
+and the window check that re-sums each window, where the library takes
+differences of one running prefix sum.
 The differential tests compare the library against them.
 """
 
@@ -84,6 +86,11 @@ def _window_conditions_hold(values: list[int], i: int) -> bool:
         if sum(values[i - d - 1 : i - 1]) % d:
             return False
     return True
+
+
+def window_violations(values: list[int]) -> list[tuple[int, int]]:
+    """The window conditions (i, d) that the prefix m_2..m_k breaks, each window re-summed."""
+    return [(i, d) for i, d in consistency_conditions(len(values) + 1) if sum(values[i - d - 1 : i - 1]) % d]
 
 
 def complete_by_windows(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:

@@ -20,6 +20,8 @@ from tchoukaillon import (
     Congruence,
     Infeasible,
     PartialConstraint,
+    allowable_check,
+    board_from_stones,
     complete_constraints,
     consistency_conditions,
     crt_solve,
@@ -120,6 +122,22 @@ def test_prime_power_divisors_against_the_scan():
     conditions = oracle.consistency_conditions(300)
     for k in range(2, 301):
         assert consistency_conditions(k) == [(i, d) for i, d in conditions if i <= k], k
+
+
+def test_allowable_check_against_window_sums():
+    rng = random.Random(5)
+    bins = board_from_stones(10**10).bins
+    prefixes = [[rng.randrange(i) for i in range(2, rng.randrange(2, 400))] for _ in range(100)]
+    for k in (2, 50, 300, 1500):
+        prefix = list(bins[: k - 1])
+        prefixes.append(prefix)
+        broken = prefix.copy()
+        broken[-1] = (broken[-1] + 1) % k
+        prefixes.append(broken)
+    for values in prefixes:
+        violations = oracle.window_violations(values)
+        assert allowable_check(values) == (not violations, violations), values
+    assert allowable_check(bins[:4999]) == (True, [])
 
 
 def test_completion_cap_at_top_twelve():

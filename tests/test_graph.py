@@ -83,6 +83,13 @@ class TestSowingGraph:
         assert g.bin_labels(b) == (1, 2, 0)
         assert g.stones(b) == 3
 
+    @pytest.mark.parametrize("length", [1, 2, 7, 199])
+    def test_path_is_bins_feeding_the_ruma_in_a_line(self, length):
+        g = make_path(length)
+        assert (g.vertex_count, g.ruma) == (length + 1, frozenset({0}))
+        assert g.edges == {(i, i - 1) for i in range(1, length + 1)}
+        assert g == make_star(1, length)
+
 
 class TestMoves:
     def test_sow_along_a_path(self):

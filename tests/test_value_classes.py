@@ -202,6 +202,13 @@ def test_round_trips(case, roundtrip):
     assert repr(again) == repr(value)
 
 
+@cases
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+def test_a_copy_is_the_value(case, clone):
+    value = case.make()
+    assert clone(value) is value
+
+
 def test_defaults():
     assert Board() == Board(())
     assert RemainderBoard((1, 0)).n is None
