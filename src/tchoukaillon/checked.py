@@ -8,6 +8,8 @@ Results that could leave the range (periods, minimum stone counts) go
 through the same check, so they raise OverflowError instead of
 silently growing.
 
+The work limits are defined here too, in one table.
+
 The library's value classes derive from :class:`_Frozen`, which gives
 them equality, hashing, a repr, immutability and pickling from their
 fields; a copy of one is the value itself.
@@ -16,6 +18,39 @@ fields; a copy of one is the value itself.
 from __future__ import annotations
 
 UINT128_MAX = 2**128 - 1
+
+# The work limits: what each bounds, the error past it (OverflowError
+# unless named) and the calls that check it.  A call checks a limit
+# before the work where its arguments give the amount, and the three
+# marked "counted" as the work goes.  A *_CAP is the default of its
+# call's cap parameter; the others are fixed.
+PLAY_SEQUENCE_CAP = 10_000_000  # moves listed, ValueError: core.play_sequence
+MAX_BOARD_BINS = 1 << 24        # bins built: core.board_from_stones, length, cli table
+MAX_PERIOD_INDEX = 87           # i with lcm(2..i+1) in 128 bits: core.minimal_period, crt
+SEQUENCE_CAP = 1 << 15          # terms, ValueError: length.min_stones_sequence
+SCAN_CAP = 1_000_000            # stone counts, RuntimeError: sieve.sieve_stage
+COMPLETION_CAP = 1_000_000      # completions, counted, RuntimeError: crt.reconstruct_minimal
+CONDITIONS_CAP = 1 << 17        # prefix index: crt.consistency_conditions, allowable_check
+FACTORING_CAP = 1 << 24         # index factored: crt.prime_power_divisors
+DEFAULT_BOARD_CAP = 10_000      # boards, counted, RuntimeError: graph.enumerate_winning_boards
+MAX_VERTICES = 1 << 16          # vertices: graph.SowingGraph, make_star, cycle_attained_counts
+MAX_WALK_STEPS = 1 << 22        # walk steps, counted, RuntimeError: graph.enumerate_winning_boards
+#
+# Why these values:
+# - MAX_BOARD_BINS: n up to about 7e13 stones (~1.5e7 bins); the board of
+#   n near 2^128 would have ~1e19.
+# - MAX_PERIOD_INDEX: lcm(2..i+1) is the period of bins 1..i; crt's
+#   search leaves 128 bits at its shifted index MAX_PERIOD_INDEX + 2 = 89.
+# - SEQUENCE_CAP: a term costs about L^(2/3) steps; 32,768 take about 3 s.
+# - CONDITIONS_CAP: ~3.4 conditions per index: 441,212 pairs, 37 MB, 1 s.
+# - FACTORING_CAP: at most sqrt(i) = 4,096 trial divisions.
+# - MAX_VERTICES: a few lists per vertex, and a label per vertex per board
+#   in the game search; the finiteness check takes about 0.3 s and 35 MB
+#   at 2^16 vertices, 6 s and 300 MB at 2^20 (CPython 3.11, 2-core VM).
+# - MAX_WALK_STEPS: one step per walk extension, plus len(path) +
+#   vertex_count per legal walk recorded (both are copied).  Rumas never
+#   block a walk, so walks can grow exponentially in number with length;
+#   make_star(4, 5) at cap 30000 takes about 2.0M.
 
 
 def as_uint(value: object, what: str) -> int:

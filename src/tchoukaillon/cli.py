@@ -15,7 +15,7 @@ from collections.abc import Iterator
 from itertools import chain, islice, repeat
 
 from . import _MODULE_OF
-from .checked import as_uint
+from .checked import DEFAULT_BOARD_CAP, MAX_BOARD_BINS, as_uint
 
 FORMATS = ("table", "json", "csv")
 
@@ -87,19 +87,19 @@ def cmd_board(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    from .core import _MAX_BOARD_BINS as budget
-
     n_max = as_uint(args.n_max, "n_max")
     # Every board past n = 0 has a bin, so more rows than the budget never fit.
-    if n_max >= budget:
-        raise OverflowError(f"a table of {n_max + 1} boards passes the budget of {budget} bins")
+    if n_max >= MAX_BOARD_BINS:
+        raise OverflowError(f"a table of {n_max + 1} boards passes the budget of {MAX_BOARD_BINS} bins")
     # Board length never decreases in n, so the last board is the longest.
     last = _lib.board_from_stones(n_max)
     columns = last.length if args.bins is None else as_uint(args.bins, "--bins")
     if columns < last.length:
         raise ValueError(f"--bins {columns} would hide bins; the longest board has {last.length}")
-    if (n_max + 1) * columns > budget:
-        raise OverflowError(f"a table of {n_max + 1} boards by {columns} bins passes the budget of {budget} bins")
+    if (n_max + 1) * columns > MAX_BOARD_BINS:
+        raise OverflowError(
+            f"a table of {n_max + 1} boards by {columns} bins passes the budget of {MAX_BOARD_BINS} bins"
+        )
     # Each format reads the boards once, building each as it prints it.
     boards = map(_lib.board_from_stones, range(n_max + 1))
 
@@ -128,8 +128,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    boards = list(_lib.enumerate_boards(args.length))
-    _emit(args.format, lambda: [board.to_json() for board in boards], (board.bins for board in boards))
+    # Refused at the call, before any output; then each board is printed as it is built.
+    boards = _lib.enumerate_boards(args.length)
+    _emit(args.format, lambda: (board.to_json() for board in boards), (board.bins for board in boards))
     return 0
 
 
@@ -159,22 +160,33 @@ def cmd_sieve(args: argparse.Namespace) -> int:
 _PAIR = re.compile(r"m([0-9]+)=([0-9]+)")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    # A JSON object that repeats a key is refused, not read as its last value.
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r} in a JSON object")
+    return doc
+
+
+def _load_json(path: str):
+    import json  # loaded only by json output and the JSON input files
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle, object_pairs_hook=_unique_keys)
+
+
 def _parse_constraints(args: argparse.Namespace) -> PartialConstraint:
     if args.file is not None:
         if args.pairs:
             raise ValueError("give constraints inline or with --file, not both")
-        import json
-        with open(args.file, encoding="utf-8") as handle:
-            return _lib.PartialConstraint.from_json(json.load(handle))
-    entries = {}
+        return _lib.PartialConstraint.from_json(_load_json(args.file))
+    entries = []
     for pair in args.pairs:
         match = _PAIR.fullmatch(pair)
         if not match:
             raise ValueError(f"constraints look like m<i>=<v>, got {pair!r}")
-        index = int(match.group(1))
-        if index in entries:
-            raise ValueError(f"duplicate constraint for index {index}")
-        entries[index] = int(match.group(2))
+        entries.append((int(match.group(1)), int(match.group(2))))
+    # PartialConstraint refuses an index given twice.
     return _lib.PartialConstraint(entries)
 
 
@@ -194,9 +206,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    import json
-    with open(args.file, encoding="utf-8") as handle:
-        graph = _lib.SowingGraph.from_json(json.load(handle))
+    graph = _lib.SowingGraph.from_json(_load_json(args.file))
     # csv prints what table prints: a message, or one bracketed line per board
     fmt = "json" if args.format == "json" else "table"
     if args.action == "check-finite":
@@ -268,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="sowing-graph tools (finiteness, enumeration, DOT export)")
     p.add_argument("file", help="sowing graph JSON file")
     p.add_argument("action", choices=("check-finite", "enumerate", "dot"))
-    p.add_argument("--cap", type=int, default=10_000, help="board cap for enumeration")
+    p.add_argument("--cap", type=int, default=DEFAULT_BOARD_CAP, help="board cap for enumeration")
     _add_format(p)
     p.set_defaults(func=cmd_graph)
 

@@ -12,16 +12,7 @@ import itertools
 import math
 from collections.abc import Iterator
 
-from .checked import _Frozen, as_uint
-
-PLAY_SEQUENCE_CAP = 10_000_000
-
-# Longest board board_from_stones builds: it admits n up to about 7e13
-# stones (~1.5e7 bins).  A board near the 128-bit limit has ~1e19 bins.
-_MAX_BOARD_BINS = 1 << 24
-
-# The largest i with lcm(2..i+1), the period of bins 1..i, inside 128 bits.
-_MAX_PERIOD_INDEX = 87
+from .checked import MAX_BOARD_BINS, MAX_PERIOD_INDEX, PLAY_SEQUENCE_CAP, _Frozen, as_uint
 
 
 def _trim(bins: tuple[int, ...]) -> tuple[int, ...]:
@@ -124,10 +115,10 @@ def board_from_stones(n: int) -> Board:
     # A board of length L holds at least L + (L-2) + (L-4) + ... >= L^2/4
     # stones (the lower bound of length.check_bounds), so L <= 2*isqrt(n) + 1.
     bound = 2 * math.isqrt(n) + 1
-    if bound > _MAX_BOARD_BINS:
+    if bound > MAX_BOARD_BINS:
         raise OverflowError(
             f"the board with {n} stones may have up to {bound} bins, "
-            f"beyond the budget of {_MAX_BOARD_BINS}"
+            f"beyond the budget of {MAX_BOARD_BINS}"
         )
     return Board._trusted(tuple(itertools.chain.from_iterable(_bin_runs(n))), winning=True)
 
@@ -272,8 +263,8 @@ def minimal_period(i: int) -> int:
     """Exact period of the first *i* bin columns as a function of n: lcm(2..i+1)."""
     if as_uint(i, "column count") < 1:
         raise ValueError("minimal_period requires i >= 1")
-    if i > _MAX_PERIOD_INDEX:
+    if i > MAX_PERIOD_INDEX:
         raise OverflowError(
-            f"minimal_period({i}) exceeds 128 bits; the largest supported index is {_MAX_PERIOD_INDEX}"
+            f"minimal_period({i}) exceeds 128 bits; the largest supported index is {MAX_PERIOD_INDEX}"
         )
     return math.lcm(*range(2, i + 2))

@@ -21,23 +21,10 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import accumulate
 
-from .checked import _Frozen, as_uint
-from .core import _MAX_PERIOD_INDEX, Board, board_from_stones
-
-COMPLETION_CAP = 1_000_000
-
-# The largest prefix whose window conditions are listed: about 3.4 pairs
-# per index, so 441,212 pairs (about 37 MB, 1 s) at the cap.
-CONDITIONS_CAP = 1 << 17
-
-# The largest index prime_power_divisors factors: trial division takes up
-# to sqrt(i) steps, 4,096 at the cap.
-FACTORING_CAP = 1 << 24
+from .checked import COMPLETION_CAP, CONDITIONS_CAP, FACTORING_CAP, MAX_PERIOD_INDEX, _Frozen, as_uint
+from .core import Board, board_from_stones
 
 CONSTRAINT_INDEXING = "paper-section-4"
-
-# The first index i at which lcm(2..i) leaves the 128-bit range: 89.
-_PERIOD_OVERFLOW_INDEX = _MAX_PERIOD_INDEX + 2
 
 
 class Infeasible(Exception):
@@ -281,6 +268,10 @@ def prime_power_divisors(i: int, cap: int = FACTORING_CAP) -> list[int]:
     """
     if as_uint(i, "index") > as_uint(cap, "index cap"):
         raise OverflowError(f"index {i} is beyond the budget of {cap} for factoring")
+    return _prime_powers(i)
+
+
+def _prime_powers(i: int) -> list[int]:  # for an index the caller has bounded
     found, rest = [], i
     for p in range(2, i):
         if p * p > rest:
@@ -295,11 +286,6 @@ def prime_power_divisors(i: int, cap: int = FACTORING_CAP) -> list[int]:
     return sorted(d for d in found if d < i)
 
 
-def _refuse_conditions_past(k: int, cap: int) -> None:
-    if k > as_uint(cap, "prefix cap"):
-        raise OverflowError(f"the window conditions up to index {k} pass the budget of {cap} indices")
-
-
 def consistency_conditions(k: int, cap: int = CONDITIONS_CAP) -> list[tuple[int, int]]:
     """All window conditions (i, d) active on prefixes m_2..m_k.
 
@@ -310,8 +296,9 @@ def consistency_conditions(k: int, cap: int = CONDITIONS_CAP) -> list[tuple[int,
     """
     if as_uint(k, "prefix index") < 2:
         raise ValueError("prefixes start at index 2")
-    _refuse_conditions_past(k, cap)
-    return [(i, d) for i in range(2, k + 1) for d in prime_power_divisors(i)]
+    if k > as_uint(cap, "prefix cap"):
+        raise OverflowError(f"the window conditions up to index {k} pass the budget of {cap} indices")
+    return [(i, d) for i in range(2, k + 1) for d in _prime_powers(i)]
 
 
 def allowable_check(values: Iterable[int]) -> tuple[bool, list[tuple[int, int]]]:
@@ -322,13 +309,15 @@ def allowable_check(values: Iterable[int]) -> tuple[bool, list[tuple[int, int]]]
     as :func:`consistency_conditions` refuses it, before any count is read.
     """
     values = tuple(values)
-    _refuse_conditions_past(len(values) + 1, CONDITIONS_CAP)
+    k = len(values) + 1
+    if k > CONDITIONS_CAP:
+        raise OverflowError(f"the window conditions up to index {k} pass the budget of {CONDITIONS_CAP} indices")
     for offset, count in enumerate(values):
         index = offset + 2
         if as_uint(count, f"count at index {index}") >= index:
             raise ValueError(f"count {count} out of range [0, {index}) at index {index}")
-    conditions = consistency_conditions(len(values) + 1) if values else []
     total = list(accumulate(values, initial=0))  # total[j] sums values[:j]
+    conditions = ((i, d) for i in range(2, k + 1) for d in _prime_powers(i))
     violations = [(i, d) for i, d in conditions if (total[i - 1] - total[i - d - 1]) % d]
     return not violations, violations
 
@@ -356,8 +345,8 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
         return
     fixed = pc.as_dict()
     for i, _ in pc.entries:
-        if i < _PERIOD_OVERFLOW_INDEX and i - 1 in fixed:
-            for d in prime_power_divisors(i):
+        if i - 1 <= MAX_PERIOD_INDEX and i - 1 in fixed:
+            for d in _prime_powers(i):
                 window = range(i - d + 1, i + 1)
                 if all(j in fixed for j in window) and sum(fixed[j] for j in window) % d:
                     return
@@ -445,6 +434,6 @@ def prime_reconstruct(pc: PartialConstraint) -> tuple[int, Board]:
     with OverflowError at index 89 first.
     """
     for index, _ in pc.entries:
-        if index < _PERIOD_OVERFLOW_INDEX and prime_power_divisors(index):
+        if index - 1 <= MAX_PERIOD_INDEX and _prime_powers(index):
             raise ValueError(f"prime_reconstruct requires prime indices, got {index}")
     return reconstruct(pc)

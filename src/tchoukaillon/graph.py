@@ -15,32 +15,11 @@ from __future__ import annotations
 
 import functools
 
-from .checked import _Frozen, as_uint
-
-DEFAULT_BOARD_CAP = 10_000
-
-# Most vertices a sowing graph may have.  The graph code keeps a few
-# per-vertex lists and the game search a label per vertex per board: the
-# finiteness check of a 2^16-vertex graph takes about 0.3 s and 35 MB,
-# of a 2^20-vertex one about 6 s and 300 MB (CPython 3.11, 2-core VM).
-_MAX_VERTICES = 1 << 16
-
-# Most work one enumeration's walk search may do: one step per walk
-# extension, plus len(path) + vertex_count for each legal walk recorded
-# (its path and grown board are copied).  The number of walks can grow
-# exponentially with their length, as Rumas never block a walk; the
-# budget keeps both time and memory bounded.  make_star(4, 5) at cap
-# 30000 uses about 2.0M.
-_MAX_WALK_STEPS = 1 << 22
+from .checked import DEFAULT_BOARD_CAP, MAX_VERTICES, MAX_WALK_STEPS, _Frozen, as_uint
 
 
 class IllegalMoveError(ValueError):
     """The requested sow or unplay violates the movement rules."""
-
-
-def _check_vertex_budget(count: int) -> None:
-    if count > _MAX_VERTICES:
-        raise OverflowError(f"a sowing graph of {count} vertices exceeds the budget of {_MAX_VERTICES}")
 
 
 class SowingGraph(_Frozen):
@@ -60,7 +39,8 @@ class SowingGraph(_Frozen):
     ) -> None:
         if as_uint(vertex_count, "vertex count") < 1:
             raise ValueError("a sowing graph needs at least one vertex")
-        _check_vertex_budget(vertex_count)
+        if vertex_count > MAX_VERTICES:
+            raise OverflowError(f"a sowing graph of {vertex_count} vertices exceeds the budget of {MAX_VERTICES}")
         edge_list = []
         for edge in edges:
             if not isinstance(edge, (tuple, list)) or len(edge) != 2:
@@ -364,7 +344,7 @@ def _legal_unplays(
                     continue
                 budget -= 1
                 if budget < 0:
-                    raise RuntimeError(f"the unplay walk search exceeded its budget of {_MAX_WALK_STEPS} steps")
+                    raise RuntimeError(f"the unplay walk search exceeded its budget of {MAX_WALK_STEPS} steps")
                 if len(path) <= max_length:
                     pending.append(iter(successors[w]))
                     break
@@ -408,7 +388,7 @@ def enumerate_winning_boards(graph: SowingGraph, cap: int = DEFAULT_BOARD_CAP) -
     # sows[i]: the sow moves out of board i, as (target, [(v, r, path)])
     # in target order, since boards are expanded in index order.
     sows: list[list[tuple[int, list[tuple]]]] = [[]]
-    budget = _MAX_WALK_STEPS
+    budget = MAX_WALK_STEPS
     yi = 0
     while yi < len(keys):
         labels = list(keys[yi])
@@ -454,16 +434,16 @@ def make_cycle(length: int) -> SowingGraph:
     """Directed cycle on *length* vertices, one of which is the Ruma."""
     if as_uint(length, "cycle length") < 1:
         raise ValueError("length must be >= 1")
-    _check_vertex_budget(length)
-    edges = {(i, i - 1) for i in range(1, length)} | {(0, length - 1)}
-    return SowingGraph(length, frozenset(edges), frozenset({0}))
+    # The edges are made as the graph reads them, after its vertex check.
+    return SowingGraph(length, ((i, (i - 1) % length) for i in range(length)), frozenset({0}))
 
 
 def make_star(spokes: int, length: int) -> SowingGraph:
     """Star of *spokes* directed paths of *length* bins, Ruma at the center."""
     if as_uint(spokes, "spoke count") < 1 or as_uint(length, "spoke length") < 1:
         raise ValueError("spokes and length must be >= 1")
-    _check_vertex_budget(spokes * length + 1)
+    if spokes * length + 1 > MAX_VERTICES:
+        raise OverflowError(f"a sowing graph of {spokes * length + 1} vertices exceeds the budget of {MAX_VERTICES}")
     edges = set()
     for s in range(spokes):
         base = s * length
@@ -484,7 +464,8 @@ def cycle_attained_counts(length: int, board_limit: int) -> list[int]:
         raise ValueError("cycle_attained_counts requires length >= 2")
     if as_uint(board_limit, "board limit") < 1:
         raise ValueError("board_limit must be >= 1")
-    _check_vertex_budget(length)
+    if length > MAX_VERTICES:
+        raise OverflowError(f"a sowing graph of {length} vertices exceeds the budget of {MAX_VERTICES}")
     # Vertex id equals walk distance to the Ruma, so the closest minimally
     # labeled bin is min((label, id)).  Its walk wraps the cycle once per
     # stone on it: bins 1..v-1 give up label + 1 stones, every other bin

@@ -9,12 +9,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .checked import UINT128_MAX, as_uint
-from .core import _MAX_BOARD_BINS, Board, _stage_element
-
-# Each term costs about L^(2/3) steps, so the longest admitted sequence
-# takes a few seconds (16,384 terms take about 1 s, 32,768 about 3 s).
-SEQUENCE_CAP = 1 << 15
+from .checked import MAX_BOARD_BINS, SEQUENCE_CAP, UINT128_MAX, as_uint
+from .core import Board, _stage_element
 
 
 def enumerate_boards(length: int) -> Iterator[Board]:
@@ -27,16 +23,22 @@ def enumerate_boards(length: int) -> Iterator[Board]:
     output order coincide with increasing total stones.  The walk keeps
     the bins where it took 0 but could take i, and resumes from the last.
 
-    Raises OverflowError before a board that would take the bins built
-    over all the boards past 2^24.
+    The boards of length L are those of n in [min_stones(L),
+    min_stones(L+1)), so their number is known up front: OverflowError is
+    raised at the call, before any board is built, when they would take
+    more than 2^24 bins in all.
     """
     if as_uint(length, "board length") == 0:
-        yield Board()
-        return
-    refusal = f"the boards of length {length} pass the budget of {_MAX_BOARD_BINS} bins"
-    boards_left = _MAX_BOARD_BINS // length
-    if not boards_left:
-        raise OverflowError(refusal)
+        return iter((Board(),))
+    # Every length has a board, so one past the budget needs no count.
+    if length > MAX_BOARD_BINS or length * (
+        _stage_element(length + 1, 1, UINT128_MAX) - _stage_element(length, 1, UINT128_MAX)
+    ) > MAX_BOARD_BINS:
+        raise OverflowError(f"the boards of length {length} pass the budget of {MAX_BOARD_BINS} bins")
+    return _walk(length)
+
+
+def _walk(length: int) -> Iterator[Board]:
     bins = [0] * length
     bins[length - 1] = length
     branches: list[tuple[int, int]] = []  # (bin, suffix sum above it)
@@ -49,9 +51,6 @@ def enumerate_boards(length: int) -> Iterator[Board]:
             bins[i - 1] = count
             suffix += count
             i -= 1
-        if not boards_left:
-            raise OverflowError(refusal)
-        boards_left -= 1
         yield Board._trusted(tuple(bins), winning=True)
         if not branches:
             return
@@ -59,11 +58,6 @@ def enumerate_boards(length: int) -> Iterator[Board]:
         bins[i - 1] = i
         suffix += i
         i -= 1
-
-
-def _check_budget(length: int) -> None:
-    if length > _MAX_BOARD_BINS:
-        raise OverflowError(f"board length {length} is beyond the budget of {_MAX_BOARD_BINS} bins")
 
 
 def min_stones(length: int) -> int:
@@ -77,7 +71,8 @@ def min_stones(length: int) -> int:
     """
     if as_uint(length, "board length") < 1:
         raise ValueError("min_stones requires length >= 1")
-    _check_budget(length)
+    if length > MAX_BOARD_BINS:
+        raise OverflowError(f"board length {length} is beyond the budget of {MAX_BOARD_BINS} bins")
     return as_uint(_stage_element(length, 1, UINT128_MAX), "minimum stone count")
 
 
@@ -86,14 +81,15 @@ def min_stones_sequence(max_length: int, cap: int = SEQUENCE_CAP) -> list[int]:
 
     Refused up front, before any term: OverflowError for a length beyond
     the bin budget, as min_stones does, and ValueError for more than
-    *cap* terms.
+    *cap* terms.  Inside the bin budget every term is below 2^47.
     """
     if as_uint(max_length, "board length") < 1:
         raise ValueError("min_stones_sequence requires max_length >= 1")
-    _check_budget(max_length)
+    if max_length > MAX_BOARD_BINS:
+        raise OverflowError(f"board length {max_length} is beyond the budget of {MAX_BOARD_BINS} bins")
     if max_length > as_uint(cap, "term cap"):
         raise ValueError(f"min_stones_sequence refuses max_length={max_length} above the cap of {cap} terms")
-    return [min_stones(length) for length in range(1, max_length + 1)]
+    return [_stage_element(length, 1, UINT128_MAX) for length in range(1, max_length + 1)]
 
 
 def check_bounds(length: int) -> tuple[int, int, int]:

@@ -8,10 +8,8 @@ stage k sitting at positions 1, (k+1)+1, 2(k+1)+1, ...
 
 from __future__ import annotations
 
-from .checked import as_uint
+from .checked import SCAN_CAP, as_uint
 from .core import _stage_element
-
-SCAN_CAP = 1_000_000
 
 
 def sieve_stage(k: int, count: int, scan_cap: int = SCAN_CAP) -> list[int]:

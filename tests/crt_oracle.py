@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator
 
 from tchoukaillon import Board, Congruence, Infeasible, PartialConstraint, board_from_stones
 from tchoukaillon.checked import as_uint
-from tchoukaillon.crt import COMPLETION_CAP
+from tchoukaillon.checked import COMPLETION_CAP
 
 
 def _violating_pair(system: list[Congruence]) -> tuple[Congruence, Congruence]:

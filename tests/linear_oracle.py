@@ -3,8 +3,9 @@
 These are the per-element forms that the library's arithmetic replaced:
 the residue walk one bin at a time, the nested ceiling one index at a
 time, the sieve as a scan over every stone count, the leftmost empty
-bin of the board one stone smaller, and the boards of one length by
-recursion.  The differential tests compare the library against them.
+bin of the board one stone smaller, the boards of one length by
+recursion, and the bin budget of those boards counted down one board at
+a time.  The differential tests compare the library against them.
 """
 
 from __future__ import annotations
@@ -93,3 +94,22 @@ def enumerate_boards_by_recursion(length: int) -> Iterator[tuple[int, ...]]:
             yield from descend(i - 1, suffix + count)
 
     yield from descend(length - 1, length)
+
+
+def enumerate_boards_by_countdown(length: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Bins of every winning board of this length, refused part way through.
+
+    Counts the bin budget down one board at a time: OverflowError comes
+    before the first board that would take the bins of the boards built
+    so far past *budget*, after the boards that fit have been yielded.
+    """
+    if length == 0:
+        yield ()
+        return
+    refusal = f"the boards of length {length} pass the budget of {budget} bins"
+    boards_left = budget // length
+    for bins in enumerate_boards_by_recursion(length):
+        if not boards_left:
+            raise OverflowError(refusal)
+        boards_left -= 1
+        yield bins

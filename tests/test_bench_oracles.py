@@ -4,12 +4,15 @@
 the whole run then reads ``correct: false``.  This runs each op of the
 ``linear``, ``reconstruct`` and ``graph`` workloads once, as the
 benchmark builds them for seed 1, through the same check, so a change
-that alters an answer the oracles pin fails here first.  The benchmark's
-modules are loaded from their files and nothing is written under
-``bench/``.
+that alters an answer the oracles pin fails here first.  It also runs the
+traced reference ops once, so a library call the tracer wraps that stops
+being called (and leaves a per-layer metric without spans) fails here
+too.  The benchmark's modules are loaded from their files and nothing is
+written under ``bench/``.
 """
 
 import importlib.util
+import json
 import os
 import random
 import sys
@@ -38,6 +41,7 @@ def load(name: str):
 
 load("oracles")  # workloads imports it by this name
 workloads = load("workloads")
+tracing = load("tracing")
 
 LIB = SimpleNamespace(core=core, length=length, sieve=sieve, crt=crt, graph=graph, cli=cli)
 
@@ -52,3 +56,15 @@ def test_seed_one_ops_pass_their_oracles(workload, tmp_path):
             op.check(op.call())
         except Exception as exc:
             pytest.fail(f"{workload} op #{index} ({op.span}): {type(exc).__name__}: {exc}")
+
+
+def test_traced_reference_pass_reports_every_per_layer_metric(tmp_path):
+    # run.py adds trace.overhead_pct itself, from the untraced passes.
+    per_layer = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    expected = {metric["name"] for metric in per_layer} - {"trace.overhead_pct"}
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    child_env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = workloads.Env(sys.executable, child_env, str(tmp_path))
+    tracer = tracing.Tracer()
+    tracer.run_pass(LIB, workloads.reference(LIB, env), lambda index, op, call: op.check(call()))
+    assert expected - set(tracer.metrics()) == set()

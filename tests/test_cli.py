@@ -181,6 +181,30 @@ class TestEnumerateCommand:
         assert out == ""
         assert err.startswith("error:") and "budget" in err
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_refused_length_prints_nothing(self, capsys, fmt):
+        # 4000 has 5,026 boards, 20.1M bins: refused before json's "["
+        code, out, err = run(capsys, "enumerate", "4000", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert "the boards of length 4000 pass the budget" in err
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_holds_one_board_at_a_time(self, monkeypatch, fmt):
+        # Length 300 has 190 boards: 0.65 MB (csv) to 4.8 MB (json) when
+        # all are held, 60-80 KB one at a time.
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(["enumerate", "1", "--format", fmt]) == 0  # loads what the format imports
+        tracemalloc.start()
+        try:
+            assert main(["enumerate", "300", "--format", fmt]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 200_000
+        assert peak < 250_000
+
 
 class TestNfCommand:
     def test_sequence(self, capsys):
@@ -274,6 +298,21 @@ class TestReconstructCommand:
         assert code == 2
         assert out == ""
         assert "count at index 3" in err
+
+    def test_file_with_repeated_index(self, capsys, tmp_path):
+        # json.load alone would keep the last value, m3 = 2 (n = 2)
+        path = tmp_path / "pc.json"
+        path.write_text('{"indexing": "paper-section-4", "3": 1, "3": 2}')
+        code, out, err = run(capsys, "reconstruct", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert "duplicate key '3'" in err
+
+    def test_repeated_inline_index(self, capsys):
+        code, out, err = run(capsys, "reconstruct", "m3=1", "m3=2")
+        assert code == 2
+        assert out == ""
+        assert "duplicate constraint for index 3" in err
 
     def test_bad_pair_syntax(self, capsys):
         code, _, err = run(capsys, "reconstruct", "3=1")
@@ -369,6 +408,15 @@ class TestGraphCommand:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "graph", str(tmp_path / "nope.json"), "check-finite")
         assert code == 2
+
+    @pytest.mark.parametrize("action", ["check-finite", "enumerate", "dot"])
+    def test_file_with_repeated_key(self, capsys, tmp_path, action):
+        path = tmp_path / "graph.json"
+        path.write_text('{"vertices": 2, "edges": [[1, 0]], "ruma": [0], "ruma": [1]}')
+        code, out, err = run(capsys, "graph", str(path), action)
+        assert code == 2
+        assert out == ""
+        assert "duplicate key 'ruma'" in err
 
     def test_finite_game_beyond_cap_names_the_cap(self, capsys, tmp_path):
         path = tmp_path / "star.json"

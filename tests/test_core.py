@@ -16,8 +16,7 @@ from tchoukaillon import (
     play_sequence,
     unplay,
 )
-from tchoukaillon.checked import UINT128_MAX, as_uint
-from tchoukaillon.core import _MAX_PERIOD_INDEX
+from tchoukaillon.checked import MAX_BOARD_BINS, MAX_PERIOD_INDEX, UINT128_MAX, as_uint
 
 from golden import INITIAL_BOARDS, PLAY_SEQUENCE_6
 
@@ -93,7 +92,7 @@ class TestBoardFromStones:
         # prime_reconstruct({29: 3, 31: 5}) builds the board with this many
         # stones, ~9.0M bins; too slow to build in the suite.
         n = 25_860_925_490_400
-        assert 2 * math.isqrt(n) + 1 <= core._MAX_BOARD_BINS
+        assert 2 * math.isqrt(n) + 1 <= MAX_BOARD_BINS
 
     def test_derived_boards_are_not_rechecked(self, monkeypatch):
         checked = []
@@ -219,7 +218,7 @@ class TestMinimalPeriod:
         assert minimal_period(i) == expected
 
     def test_overflow_reports_limit(self):
-        limit = _MAX_PERIOD_INDEX
+        limit = MAX_PERIOD_INDEX
         assert math.lcm(*range(2, limit + 2)) <= UINT128_MAX < math.lcm(*range(2, limit + 3))
         assert minimal_period(limit) == math.lcm(*range(2, limit + 2))  # fits
         with pytest.raises(OverflowError, match=str(limit)):

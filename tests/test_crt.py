@@ -26,7 +26,8 @@ from tchoukaillon import (
     remainder_board,
     shifted_prefix,
 )
-from tchoukaillon.crt import CONDITIONS_CAP, prime_power_divisors
+from tchoukaillon.checked import CONDITIONS_CAP
+from tchoukaillon.crt import prime_power_divisors
 
 from golden import (
     BOARD_29,

@@ -86,7 +86,7 @@ def test_random_graphs(monkeypatch):
     # Graphs of up to five vertices, one or two Rumas, self-loops and Ruma
     # out-edges allowed.  A lowered walk budget keeps refused searches
     # short; the oracle, which has no budget, runs only on the others.
-    monkeypatch.setattr(graph_module, "_MAX_WALK_STEPS", 50_000)
+    monkeypatch.setattr(graph_module, "MAX_WALK_STEPS", 50_000)
     compared = 0
     for seed in range(400):
         rng = random.Random(seed)

@@ -50,7 +50,16 @@ class TestEnumerateBoards:
         start = time.perf_counter()
         with pytest.raises(OverflowError, match=f"boards of length {length} pass the budget"):
             list(enumerate_boards(length))
+        # the boards are counted first, so the call itself refuses
+        with pytest.raises(OverflowError, match=f"boards of length {length} pass the budget"):
+            enumerate_boards(length)
         assert time.perf_counter() - start < 0.5
+
+    def test_budget_refuses_the_longest_length_min_stones_admits(self):
+        # min_stones(2^24 + 1) would refuse with its own "board length ...
+        # beyond" message; the count must not go through it.
+        with pytest.raises(OverflowError, match=f"the boards of length {2**24} pass the budget of {2**24} bins"):
+            enumerate_boards(2**24)
 
     def test_completeness_against_stone_count_oracle(self):
         # the boards of length l are exactly those with min_stones(l) <= n < min_stones(l+1)

@@ -3,7 +3,8 @@
 ``board_from_stones`` walks runs of bins, ``min_stones`` runs of equal
 ceiling steps, ``sieve_stage`` the position rule up to its last
 element, ``play_sequence`` the first played bins, and
-``enumerate_boards`` one loop over the bins; each must agree exactly
+``enumerate_boards`` one loop over the bins, and refuses at the call
+the lengths whose boards pass the bin budget; each must agree exactly
 with the slow form it replaced, kept in ``linear_oracle``.
 """
 
@@ -13,6 +14,7 @@ import time
 
 import pytest
 
+from tchoukaillon import length as length_module
 from tchoukaillon import (
     board_from_stones,
     check_bounds,
@@ -24,6 +26,7 @@ from tchoukaillon import (
 )
 
 from linear_oracle import (
+    enumerate_boards_by_countdown,
     enumerate_boards_by_recursion,
     first_empty_bin_of,
     min_stones_by_loop,
@@ -125,3 +128,23 @@ def test_enumerate_boards_every_length_up_to_four_hundred():
         got = [board.bins for board in enumerate_boards(length)]
         assert got == list(enumerate_boards_by_recursion(length)), length
 
+
+
+@pytest.mark.parametrize("budget", [1, 30, 200, 1000, 2000])
+def test_enumerate_boards_refuses_at_the_call_what_the_countdown_refused(monkeypatch, budget):
+    # The countdown refuses part way through the boards; the library, which
+    # counts them first, must refuse the same lengths before the first one.
+    monkeypatch.setattr(length_module, "MAX_BOARD_BINS", budget)
+    outcomes = set()
+    for length in range(61):
+        try:
+            expected = list(enumerate_boards_by_countdown(length, budget))
+        except OverflowError as refusal:
+            with pytest.raises(OverflowError) as raised:
+                enumerate_boards(length)
+            assert str(raised.value) == str(refusal), length
+            outcomes.add("refused")
+        else:
+            assert [board.bins for board in enumerate_boards(length)] == expected, length
+            outcomes.add("admitted")
+    assert outcomes == {"admitted", "refused"}
