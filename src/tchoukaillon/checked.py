@@ -21,15 +21,16 @@ UINT128_MAX = 2**128 - 1
 
 # The work limits: what each bounds, the error past it (OverflowError
 # unless named) and the calls that check it.  A call checks a limit
-# before the work where its arguments give the amount, and the three
+# before the work where its arguments give the amount, and the four
 # marked "counted" as the work goes.  A *_CAP is the default of its
 # call's cap parameter; the others are fixed.
 PLAY_SEQUENCE_CAP = 10_000_000  # moves listed, ValueError: core.play_sequence
-MAX_BOARD_BINS = 1 << 24        # bins built: core.board_from_stones, length, cli table
+MAX_BOARD_BINS = 1 << 24        # bins built: core.board_from_stones, length, crt remainders, cli table
 MAX_PERIOD_INDEX = 87           # i with lcm(2..i+1) in 128 bits: core.minimal_period, crt
 SEQUENCE_CAP = 1 << 15          # terms, ValueError: length.min_stones_sequence
 SCAN_CAP = 1_000_000            # stone counts, RuntimeError: sieve.sieve_stage
 COMPLETION_CAP = 1_000_000      # completions, counted, RuntimeError: crt.reconstruct_minimal
+MAX_SEARCH_NODES = 1 << 20      # nodes per completion, counted, RuntimeError: crt.complete_constraints
 CONDITIONS_CAP = 1 << 17        # prefix index: crt.consistency_conditions, allowable_check
 FACTORING_CAP = 1 << 24         # index factored: crt.prime_power_divisors
 DEFAULT_BOARD_CAP = 10_000      # boards, counted, RuntimeError: graph.enumerate_winning_boards
@@ -43,6 +44,11 @@ MAX_WALK_STEPS = 1 << 22        # walk steps, counted, RuntimeError: graph.enume
 #   search leaves 128 bits at its shifted index MAX_PERIOD_INDEX + 2 = 89.
 # - SEQUENCE_CAP: a term costs about L^(2/3) steps; 32,768 take about 3 s.
 # - CONDITIONS_CAP: ~3.4 conditions per index: 441,212 pairs, 37 MB, 1 s.
+# - MAX_SEARCH_NODES: counted from the last completion yielded (or the
+#   start), so reconstruct_minimal's completion cap stays exact.  The
+#   search runs 0.4M-0.8M nodes/s, so a refusal takes 1.3-2.6 s; the
+#   largest gap between completions in the tests and the benchmark's
+#   reconstruct workload is under 500 nodes.
 # - FACTORING_CAP: at most sqrt(i) = 4,096 trial divisions.
 # - MAX_VERTICES: a few lists per vertex, and a label per vertex per board
 #   in the game search; the finiteness check takes about 0.3 s and 35 MB

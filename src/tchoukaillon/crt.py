@@ -21,7 +21,8 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import accumulate
 
-from .checked import COMPLETION_CAP, CONDITIONS_CAP, FACTORING_CAP, MAX_PERIOD_INDEX, _Frozen, as_uint
+from .checked import COMPLETION_CAP, CONDITIONS_CAP, FACTORING_CAP, MAX_BOARD_BINS, MAX_PERIOD_INDEX
+from .checked import MAX_SEARCH_NODES, _Frozen, as_uint
 from .core import Board, board_from_stones
 
 CONSTRAINT_INDEXING = "paper-section-4"
@@ -167,19 +168,24 @@ class PartialConstraint(_Frozen):
         return cls((int(key), value) for key, value in doc.items())
 
 
+def _check_modulus(k: int) -> None:
+    if as_uint(k, "modulus") < 2:
+        raise ValueError("remainder boards start at modulus 2")
+    if k - 1 > MAX_BOARD_BINS:
+        raise OverflowError(f"a remainder board to modulus {k} passes the budget of {MAX_BOARD_BINS} bins")
+
+
 def remainder_board(n: int, k: int) -> RemainderBoard:
     """Residues of n modulo 2..k."""
     as_uint(n, "stone count")
-    if as_uint(k, "modulus") < 2:
-        raise ValueError("remainder boards start at modulus 2")
+    _check_modulus(k)
     return RemainderBoard(tuple(n % i for i in range(2, k + 1)), n=n)
 
 
 def increasing_remainder_board(n: int, k: int) -> IncreasingRemainderBoard:
     """Minimal weakly increasing sequence matching n modulo 2..k."""
     as_uint(n, "stone count")
-    if as_uint(k, "modulus") < 2:
-        raise ValueError("remainder boards start at modulus 2")
+    _check_modulus(k)
     values = []
     previous = 0
     for i in range(2, k + 1):
@@ -203,7 +209,10 @@ def shifted_prefix(board: Board, k: int) -> tuple[int, ...]:
     """Bins 1..k-1 of a core board, re-indexed to the shifted convention m_2..m_k."""
     if as_uint(k, "prefix index") < 2:
         raise ValueError("prefixes start at index 2")
-    return tuple(board.bin(i - 1) for i in range(2, k + 1))
+    if k - 1 > MAX_BOARD_BINS:
+        raise OverflowError(f"a prefix to index {k} passes the budget of {MAX_BOARD_BINS} bins")
+    bins = board.bins[: k - 1]
+    return bins + (0,) * (k - 1 - len(bins))
 
 
 def board_from_shifted(values: Iterable[int]) -> Board:
@@ -333,7 +342,10 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
     exactly the counts whose window conditions hold.  A constrained index
     keeps its count only if it is among them.  Yields nothing when the
     constraint is infeasible, and raises OverflowError on reaching index
-    89, where lcm(2..89) leaves the 128-bit range.
+    89, where lcm(2..89) leaves the 128-bit range.  A branch that clashes
+    only at a late constrained index can backtrack through exponentially
+    many prefixes, so the search raises RuntimeError once it visits more
+    than MAX_SEARCH_NODES nodes before its next completion.
 
     A window the constraint pins whole is checked first: the search
     notices a broken one only at its last index, after trying every
@@ -352,11 +364,17 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
                     return
     top = pc.max_index
     values: list[int] = []
+    nodes = 0
 
     def extend(i: int, total: int, residue: int, modulus: int) -> Iterator[tuple[int, ...]]:
+        nonlocal nodes
         if i > top:
+            nodes = 0
             yield tuple(values)
             return
+        nodes += 1
+        if nodes > MAX_SEARCH_NODES:
+            raise RuntimeError(f"the completion search exceeded its budget of {MAX_SEARCH_NODES} nodes")
         g = math.gcd(modulus, i)
         choices = range((residue - total) % g, i, g)
         if i in fixed:

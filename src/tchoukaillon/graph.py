@@ -14,6 +14,8 @@ runs dry when unplaying.
 from __future__ import annotations
 
 import functools
+from itertools import groupby
+from operator import itemgetter
 
 from .checked import DEFAULT_BOARD_CAP, MAX_VERTICES, MAX_WALK_STEPS, _Frozen, as_uint
 
@@ -238,14 +240,20 @@ def unplay_move(
     return GraphBoard._trusted(tuple(labels))
 
 
-def _strongly_connected_components(graph: SowingGraph) -> list[list[int]]:
-    # Iterative Tarjan; components come out in a deterministic order.
+def _cycles(graph: SowingGraph) -> tuple[tuple[int, int] | None, list[bool]]:
+    # One iterative Tarjan pass, each strongly connected component handled
+    # as it is popped.  The finiteness witness is the smallest Ruma and the
+    # smallest bin of the first popped component holding both, or None;
+    # on_cycle[v] says v lies on a directed cycle: its component has
+    # another vertex, or v has a self-loop.
     n = graph.vertex_count
+    successors = graph.successors
     index_of = [-1] * n
     low = [0] * n
     on_stack = [False] * n
+    on_cycle = [False] * n
     stack: list[int] = []
-    components: list[list[int]] = []
+    witness = None
     counter = 0
     for root in range(n):
         if index_of[root] != -1:
@@ -258,33 +266,29 @@ def _strongly_connected_components(graph: SowingGraph) -> list[list[int]]:
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            advanced = False
-            succ = graph.successors[v]
-            while edge_pos < len(succ):
+            succ = successors[v]
+            for edge_pos in range(edge_pos, len(succ)):
                 w = succ[edge_pos]
-                edge_pos += 1
                 if index_of[w] == -1:
-                    work.append((v, edge_pos))
-                    work.append((w, 0))
-                    advanced = True
+                    work += ((v, edge_pos + 1), (w, 0))
                     break
                 if on_stack[w]:
                     low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            if low[v] == index_of[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(component))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return components
+            else:
+                if low[v] == index_of[v]:
+                    component = [stack.pop()]
+                    while component[-1] != v:
+                        component.append(stack.pop())
+                    for w in component:
+                        on_stack[w] = False
+                        on_cycle[w] = len(component) > 1 or (w, w) in graph.edges
+                    rumas = [w for w in component if w in graph.ruma]
+                    if witness is None and rumas and len(rumas) < len(component):
+                        witness = min(rumas), min(w for w in component if w not in graph.ruma)
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+    return witness, on_cycle
 
 
 def has_finite_game_graph(graph: SowingGraph) -> tuple[bool, tuple[int, int] | None]:
@@ -294,17 +298,8 @@ def has_finite_game_graph(graph: SowingGraph) -> tuple[bool, tuple[int, int] | N
     Ruma and a non-Ruma vertex (two co-reachable vertices always share a
     directed cycle).  The witness is such a pair, or None when finite.
     """
-    witness = _infinite_witness(graph, _strongly_connected_components(graph))
+    witness, _ = _cycles(graph)
     return witness is None, witness
-
-
-def _infinite_witness(graph: SowingGraph, components: list[list[int]]) -> tuple[int, int] | None:
-    for component in components:
-        rumas = [v for v in component if v in graph.ruma]
-        others = [v for v in component if v not in graph.ruma]
-        if rumas and others:
-            return rumas[0], others[0]
-    return None
 
 
 def _legal_unplays(
@@ -371,23 +366,18 @@ def enumerate_winning_boards(graph: SowingGraph, cap: int = DEFAULT_BOARD_CAP) -
     """
     if as_uint(cap, "board cap") < 1:
         raise ValueError("cap must be >= 1")
-    components = _strongly_connected_components(graph)
-    finite = _infinite_witness(graph, components) is None
+    # A bin holding stones is refilled only by a walk that comes back to it.
+    witness, on_cycle = _cycles(graph)
+    finite = witness is None
     n = graph.vertex_count
     is_ruma = [v in graph.ruma for v in range(n)]
     successors = [graph.successors[v] for v in range(n)]
-    # A bin holding stones is refilled only by a walk that comes back to it.
-    on_cycle = [False] * n
-    for component in components:
-        for v in component:
-            on_cycle[v] = len(component) > 1 or v in successors[v]
     # Board labels are kept as full vertex tuples; Ruma labels stay 0,
     # since unplaying only ever takes captured stones back.
     keys = [(0,) * n]
     index = {keys[0]: 0}
-    # sows[i]: the sow moves out of board i, as (target, [(v, r, path)])
-    # in target order, since boards are expanded in index order.
-    sows: list[list[tuple[int, list[tuple]]]] = [[]]
+    # One (source, target, v, r, path) per sow move found.
+    sows: list[tuple] = []
     budget = MAX_WALK_STEPS
     yi = 0
     while yi < len(keys):
@@ -408,17 +398,14 @@ def enumerate_winning_boards(graph: SowingGraph, cap: int = DEFAULT_BOARD_CAP) -
                     continue
                 grown = index[key] = len(keys)
                 keys.append(key)
-                sows.append([])
-            out = sows[grown]
-            if out and out[-1][0] == yi:
-                out[-1][1].append((v, r, path))
-            else:
-                out.append((yi, [(v, r, path)]))
+            sows.append((grown, yi, v, r, path))
         yi += 1
+    # Targets were expanded in index order and each board's moves found in
+    # (v, r, path) order, so a stable sort by source orders the edges.
+    sows.sort(key=itemgetter(0))
     edges = tuple(
-        GameEdge(source, target, tuple(Move(v, r, path) for v, r, path in moves))
-        for source, out in enumerate(sows)
-        for target, moves in out
+        GameEdge(source, target, tuple(Move(v, r, path) for _, _, v, r, path in moves))
+        for (source, target), moves in groupby(sows, itemgetter(0, 1))
     )
     return GameGraph(tuple(GraphBoard._trusted(key) for key in keys), edges, truncated=not finite)
 

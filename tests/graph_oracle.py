@@ -4,8 +4,10 @@ These are the straightforward forms that the library's engine replaced:
 a breadth-first closure that enumerates every legal unplay walk per board
 and replays each one through the public, fully checked ``unplay_move``,
 a cycle-game step that materializes its walk of label * length edges,
-and a DOT export that renders both end names of every edge afresh.
-The differential tests compare the engine against them.
+a DOT export that renders both end names of every edge afresh, and the
+two-pass cycle analysis that lists the sorted strongly connected
+components first and then scans them for the finiteness witness and the
+on-cycle marks.  The differential tests compare the engine against them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,72 @@ from tchoukaillon import (
     make_cycle,
     unplay_move,
 )
+
+
+def strongly_connected_components(graph: SowingGraph) -> list[list[int]]:
+    """Iterative Tarjan: each component sorted, in the order they are popped."""
+    n = graph.vertex_count
+    index_of = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index_of[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, edge_pos = work.pop()
+            if edge_pos == 0:
+                index_of[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            succ = graph.successors[v]
+            while edge_pos < len(succ):
+                w = succ[edge_pos]
+                edge_pos += 1
+                if index_of[w] == -1:
+                    work.append((v, edge_pos))
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index_of[w])
+            if advanced:
+                continue
+            if low[v] == index_of[v]:
+                component = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    component.append(w)
+                    if w == v:
+                        break
+                components.append(sorted(component))
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return components
+
+
+def cycles_by_components(graph: SowingGraph) -> tuple[tuple[int, int] | None, list[bool]]:
+    """The finiteness witness and on-cycle marks, scanned from the component list."""
+    components = strongly_connected_components(graph)
+    witness = None
+    for component in components:
+        rumas = [v for v in component if v in graph.ruma]
+        others = [v for v in component if v not in graph.ruma]
+        if rumas and others:
+            witness = rumas[0], others[0]
+            break
+    on_cycle = [False] * graph.vertex_count
+    for component in components:
+        for v in component:
+            on_cycle[v] = len(component) > 1 or v in graph.successors[v]
+    return witness, on_cycle
 
 
 def legal_unplays(graph: SowingGraph, board: GraphBoard, max_length: int) -> list[Move]:

@@ -283,6 +283,15 @@ class TestReconstructCommand:
         assert code == 1
         assert out.startswith("infeasible:")
 
+    def test_search_past_node_budget_is_usage_error(self, capsys):
+        # the unbounded search ran past 120 s; the budget refuses in about 2 s
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reconstruct", "m16=3", "m34=10")
+        assert time.perf_counter() - start < 20
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the completion search exceeded its budget of 1048576 nodes")
+
     def test_from_file(self, capsys, tmp_path):
         doc = {"indexing": "paper-section-4", "3": 1, "7": 2}
         path = tmp_path / "pc.json"

@@ -26,7 +26,8 @@ from tchoukaillon import (
     remainder_board,
     shifted_prefix,
 )
-from tchoukaillon.checked import CONDITIONS_CAP
+import tchoukaillon.crt as crt_module
+from tchoukaillon.checked import CONDITIONS_CAP, MAX_BOARD_BINS
 from tchoukaillon.crt import prime_power_divisors
 
 from golden import (
@@ -80,6 +81,15 @@ class TestRemainderBoards:
         with pytest.raises(ValueError):
             rb.residue(12)
 
+    @pytest.mark.parametrize("build", [remainder_board, increasing_remainder_board])
+    def test_refused_past_bin_budget(self, build):
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match=f"modulus {MAX_BOARD_BINS + 2} passes the budget of {MAX_BOARD_BINS}"):
+            build(5, MAX_BOARD_BINS + 2)
+        with pytest.raises(OverflowError, match="modulus 1000000000 passes the budget"):
+            build(5, 10**9)
+        assert time.perf_counter() - start < 0.5
+
     def test_validation(self):
         with pytest.raises(ValueError):
             IncreasingRemainderBoard((1, 0))  # decreasing
@@ -96,6 +106,23 @@ class TestIndexBridge:
 
     def test_prefix_pads_beyond_length(self):
         assert shifted_prefix(board_from_stones(1), 4) == (1, 0, 0)
+
+    def test_prefix_reads_the_bins(self):
+        for n in range(300):
+            board = board_from_stones(n)
+            for k in range(2, 26):
+                assert shifted_prefix(board, k) == tuple(board.bin(i - 1) for i in range(2, k + 1))
+
+    def test_prefix_refused_past_bin_budget(self):
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match=f"index {MAX_BOARD_BINS + 2} passes the budget of {MAX_BOARD_BINS}"):
+            shifted_prefix(board_from_stones(5), MAX_BOARD_BINS + 2)
+        assert time.perf_counter() - start < 0.5
+
+    def test_prefix_admitted_at_bin_budget(self):
+        prefix = shifted_prefix(Board(), MAX_BOARD_BINS + 1)
+        assert len(prefix) == MAX_BOARD_BINS
+        assert prefix[:3] == prefix[-3:] == (0, 0, 0)
 
 
 class TestBoardFromIncreasing:
@@ -333,6 +360,28 @@ class TestCompleteConstraints:
         completions = list(complete_constraints(PartialConstraint({6: 0, 7: 1, 8: 1, 10: 1})))
         assert completions
         assert all(c[7] == 7 for c in completions)  # m_9 forced to 7
+
+
+class TestSearchNodeBudget:
+    def test_refused_past_budget(self, monkeypatch):
+        # The first completion's branch clashes only at index 34, after
+        # exponentially many prefixes, though the scan finds n = 2160.
+        entries = {16: 3, 34: 10}
+        assert scan_minimal(entries) == 2160
+        monkeypatch.setattr(crt_module, "MAX_SEARCH_NODES", 1000)
+        with pytest.raises(RuntimeError, match="completion search exceeded its budget of 1000 nodes"):
+            reconstruct(PartialConstraint(entries))
+
+    def test_budget_counts_nodes_between_completions(self, monkeypatch):
+        # 2,520 completions, each reached within 100 nodes of the one before
+        pc = PartialConstraint({12: 0})
+        completions = list(complete_constraints(pc))
+        assert len(completions) == 2520
+        monkeypatch.setattr(crt_module, "MAX_SEARCH_NODES", 100)
+        assert list(complete_constraints(pc)) == completions
+        assert reconstruct_minimal(pc) == reconstruct_minimal(pc, cap=len(completions))
+        with pytest.raises(RuntimeError, match="completion cap 2519 exceeded"):
+            reconstruct_minimal(pc, cap=2519)
 
 
 class TestReconstruct:
