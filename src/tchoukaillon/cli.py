@@ -12,7 +12,7 @@ import argparse
 import re
 import sys
 from collections.abc import Iterator
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 
 from . import _MODULE_OF
 from .checked import DEFAULT_BOARD_CAP, MAX_BOARD_BINS, as_uint
@@ -46,7 +46,8 @@ def _emit(fmt: str, doc, rows) -> None:
     and by a space in a table.  A row that is a tuple holds bins, printed
     ``[a,b,c]`` in a table and ``a,b,c`` in csv.  A row is written in
     pieces of at most ``_CHUNK`` cells, so a short row takes one write
-    and a long one is never held whole as text.
+    and a long one is never held whole as text; a :class:`_Joined` row
+    brings its own pieces.
     """
     write = sys.stdout.write
     if fmt == "json":
@@ -63,12 +64,30 @@ def _emit(fmt: str, doc, rows) -> None:
     sep, bins = (",", ("", "")) if fmt == "csv" else (" ", ("[", "]"))
     for row in rows:
         joiner, (text, close) = (",", bins) if isinstance(row, tuple) else (sep, ("", ""))
-        cells = map(str, row)
-        text += joiner.join(islice(cells, _CHUNK))
-        while chunk := list(islice(cells, _CHUNK)):
+        pieces = row.pieces if isinstance(row, _Joined) else _pieces(row, joiner)
+        text += next(pieces)
+        for piece in pieces:
             write(text)
-            text = joiner + joiner.join(chunk)
+            text = joiner + piece
         write(text + close + "\n")
+
+
+def _pieces(row, joiner: str) -> Iterator[str]:
+    # The cells of *row* joined by *joiner*, _CHUNK at a time; one piece at least.
+    cells = map(str, row)
+    yield joiner.join(islice(cells, _CHUNK))
+    while chunk := list(islice(cells, _CHUNK)):
+        yield joiner.join(chunk)
+
+
+class _Joined:
+    """A row given as text: pieces of at most ``_CHUNK`` cells each, already
+    joined by the format's separator, and one piece at least."""
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: Iterator[str]) -> None:
+        self.pieces = pieces
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -102,27 +121,49 @@ def cmd_table(args: argparse.Namespace) -> int:
         )
     # Each format reads the boards once, building each as it prints it.
     boards = map(_lib.board_from_stones, range(n_max + 1))
+    table = args.format == "table"
+    sep = " " if table else ","
 
-    # The header and the rows are iterators: a row of 2^24 cells is never a list.
-    def names():
-        return map("b{}".format, range(1, columns + 1))
+    # A row is printed in pieces of _CHUNK cells: its first cells one at a
+    # time, then the header names or the zero tail, whose text comes from
+    # one join or one repetition per piece instead of a call per cell.
+    def names(a: int, b: int) -> str:
+        return "b" + (sep + "b").join(map(str, range(a, b)))
+
+    def zeros(a: int, b: int) -> str:
+        # Bins a..b-1 hold 0; in a table each is padded to the width of
+        # its header b<i>, the same for every i with as many digits.
+        text = ""
+        while a < b:
+            digits = len(str(a))
+            end = min(b, 10**digits)
+            text += (sep + "0".rjust(digits + 1 if table else 1)) * (end - a)
+            a = end
+        return text[1:]
+
+    def pieces(head: list[str], tail) -> Iterator[str]:
+        # *head* holds the row's first cells as text: n, l and bins up to
+        # len(head) - 2; tail(a, b) gives the text of bins a..b-1.
+        for start in range(0, columns + 2, _CHUNK):
+            stop = min(start + _CHUNK, columns + 2)
+            cells = head[start:stop]
+            if stop > len(head):
+                cells.append(tail(max(start, len(head)) - 1, stop - 1))
+            yield sep.join(cells)
 
     def rows():
-        yield chain(("n", "l"), names())
-        for n, board in enumerate(boards):
-            yield chain((n, board.length), board.bins, repeat(0, columns - board.length))
-
-    cells = rows()
-    if args.format == "table":
         # Bin i of a winning board holds at most i stones, so no cell is
         # wider than its header b<i>; n and l are widest in the last row.
-        # Each width fits in a byte: 2^24 columns take 16 MiB, not a list.
-        widths = bytes(chain((len(str(n_max)), len(str(last.length))), map(len, names())))
-        cells = (map(str.rjust, map(str, row), widths) for row in cells)
+        widths = [len(str(n_max)), len(str(last.length)), *(len(str(i)) + 1 for i in range(1, last.length + 1))]
+        pad = (lambda cells: list(map(str.rjust, cells, widths))) if table else list
+        yield _Joined(pieces(pad(("n", "l")), names))
+        for n, board in enumerate(boards):
+            yield _Joined(pieces(pad(map(str, chain((n, board.length), board.bins))), zeros))
+
     _emit(
         args.format,
         lambda: ({"n": n, "length": board.length, "bins": board.to_json()} for n, board in enumerate(boards)),
-        cells,
+        rows(),
     )
     return 0
 

@@ -222,15 +222,32 @@ def first_played_bin(n: int) -> int:
 def play_sequence(n: int, cap: int = PLAY_SEQUENCE_CAP) -> list[int]:
     """The bins played, in order, to clear the winning board with *n* stones.
 
-    Move k clears one stone, so the sequence has length n.  The board with
-    k stones first plays the bin that unplaying refilled, the leftmost
-    empty bin of the board with k - 1 stones.  Refuses n above *cap* to
-    bound memory.
+    Move k clears one stone, so the sequence has length n, and entry
+    n - x is the first played bin of the board with x stones.  Those are
+    labelled by the sieve: stage k+1 drops every (k+1)-th element of
+    stage k, starting with the first, and the x dropped there are the
+    ones whose first played bin is k.  Odd x play bin 1, so the sieve
+    starts at stage 2, the even x, held as their output positions in an
+    array.  A stage of about n/k elements is sliced twice per step, about
+    2*sqrt(n) steps, for O(n log n) slice work in C plus n Python stores.
+    Memory is the result, one 8-byte reference per move, and the stage,
+    4 bytes for each of n/2 positions: about 115 MB of peak RSS at the
+    default cap of 10^7 moves.  Refuses n above *cap*.
     """
     as_uint(n, "stone count")
     if n > as_uint(cap, "move cap"):
         raise ValueError(f"play_sequence refuses n={n} above the cap of {cap} moves")
-    return [_first_played_bin(k) for k in range(n, 0, -1)]
+    from array import array  # loaded only by callers that list moves
+
+    out = [1] * n
+    stage = array("I", range(n - 2, -1, -2))
+    k = 2
+    while stage:
+        for p in stage[:: k + 1]:
+            out[p] = k
+        del stage[:: k + 1]
+        k += 1
+    return out
 
 
 def _stage_element(k: int, count: int, limit: int) -> int:

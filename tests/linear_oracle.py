@@ -2,8 +2,9 @@
 
 These are the per-element forms that the library's arithmetic replaced:
 the residue walk one bin at a time, the nested ceiling one index at a
-time, the sieve as a scan over every stone count, the leftmost empty
-bin of the board one stone smaller, the boards of one length by
+time, the sieve as a scan over every stone count, the first played
+bins of a whole clearing one walk per board, the leftmost empty bin of
+the board one stone smaller, the boards of one length by
 recursion, and the bin budget of those boards counted down one board at
 a time.  The differential tests compare the library against them.
 """
@@ -43,6 +44,11 @@ def first_played_bin_by_walk(n: int) -> int:
             return i
         remaining -= count
         i += 1
+
+
+def play_sequence_by_walks(n: int) -> list[int]:
+    """The bins played to clear the board with n stones: one walk per board on the way."""
+    return [first_played_bin_by_walk(k) for k in range(n, 0, -1)]
 
 
 def first_empty_bin_of(n: int) -> int:

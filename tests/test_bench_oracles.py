@@ -3,11 +3,12 @@
 ``bench/run.py`` counts an op whose answer fails its oracle as wrong, and
 the whole run then reads ``correct: false``.  This runs each op of the
 ``linear``, ``reconstruct`` and ``graph`` workloads once, as the
-benchmark builds them for seed 1, through the same check, so a change
-that alters an answer the oracles pin fails here first.  It also runs the
-traced reference ops once, so a library call the tracer wraps that stops
-being called (and leaves a per-layer metric without spans) fails here
-too.  The benchmark's modules are loaded from their files and nothing is
+benchmark builds them for seed 1, through the same check and the same
+hash of the frozen answer, so a change that alters an answer the oracles
+pin, or returns a type the runner cannot hash, fails here first.  It
+also runs the traced reference ops once, so a library call the tracer
+wraps that stops being called (and leaves a per-layer metric without
+spans) fails here too.  The benchmark's modules are loaded from their files and nothing is
 written under ``bench/``.
 """
 
@@ -42,6 +43,7 @@ def load(name: str):
 load("oracles")  # workloads imports it by this name
 workloads = load("workloads")
 tracing = load("tracing")
+run = load("run")
 
 LIB = SimpleNamespace(core=core, length=length, sieve=sieve, crt=crt, graph=graph, cli=cli)
 
@@ -53,7 +55,9 @@ def test_seed_one_ops_pass_their_oracles(workload, tmp_path):
     assert ops
     for index, op in enumerate(ops):
         try:
-            op.check(op.call())
+            answer = op.call()
+            op.check(answer)
+            hash(run.freeze(answer))
         except Exception as exc:
             pytest.fail(f"{workload} op #{index} ({op.span}): {type(exc).__name__}: {exc}")
 

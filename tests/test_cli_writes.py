@@ -47,6 +47,29 @@ def test_a_wide_table_row_prints_in_bounded_writes(monkeypatch, fmt, sep):
     assert one.split(sep) == ["1", "1", "1", *["0"] * 99_999]
 
 
+def table_by_cells(n_max: int, columns: int, fmt: str) -> str:
+    """The table as it was printed one cell at a time, each padded to its column's width in a table."""
+    boards = [board_from_stones(n).bins for n in range(n_max + 1)]
+    header = ["n", "l", *(f"b{i}" for i in range(1, columns + 1))]
+    rows = [header] + [[n, len(bins), *bins, *[0] * (columns - len(bins))] for n, bins in enumerate(boards)]
+    if fmt == "csv":
+        return "".join(",".join(map(str, row)) + "\n" for row in rows)
+    widths = [len(str(n_max)), len(str(len(boards[-1]))), *map(len, header[2:])]
+    return "".join(" ".join(map(str.rjust, map(str, row), widths)) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("chunk", [7, 4096])
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_wide_table_matches_the_per_cell_form(monkeypatch, fmt, chunk):
+    # 5,000 columns take the headers past b9, b99 and b999, where the
+    # padded zeros widen; a chunk of 7 cells cuts rows inside their bins.
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    writes = writes_of(monkeypatch, ["table", "30", "--bins", "5000", "--format", fmt])
+    assert "".join(writes) == table_by_cells(30, 5000, fmt)
+    # No write holds more than a chunk of cells: in csv a write may start with its separator.
+    assert max(len(text.split()) if fmt == "table" else text.count(",") for text in writes) <= chunk
+
+
 @pytest.mark.parametrize(
     "argv, lines",
     [

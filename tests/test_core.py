@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -196,6 +199,25 @@ class TestPlaySequence:
     def test_rejects_bool(self):
         with pytest.raises(ValueError, match="stone count"):
             play_sequence(True)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_memory_at_the_cap(self):
+        # A fresh child reports the peak RSS of its own address space,
+        # VmHWM in KiB.  Its ru_maxrss would not do: Linux carries the
+        # forking process's peak across exec, so under a full test run it
+        # reads the test runner's size.
+        child = (
+            "from tchoukaillon.checked import PLAY_SEQUENCE_CAP\n"
+            "from tchoukaillon.core import play_sequence\n"
+            "assert len(play_sequence(PLAY_SEQUENCE_CAP)) == PLAY_SEQUENCE_CAP\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(core.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120, check=True
+        ).stdout
+        assert int(out) < 200 * 1024
 
 
 class TestIsWinning:

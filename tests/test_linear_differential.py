@@ -2,7 +2,7 @@
 
 ``board_from_stones`` walks runs of bins, ``min_stones`` runs of equal
 ceiling steps, ``sieve_stage`` the position rule up to its last
-element, ``play_sequence`` the first played bins, and
+element, ``play_sequence`` the same rule over every stone count, and
 ``enumerate_boards`` one loop over the bins, and refuses at the call
 the lengths whose boards pass the bin budget; each must agree exactly
 with the slow form it replaced, kept in ``linear_oracle``.
@@ -30,6 +30,7 @@ from linear_oracle import (
     enumerate_boards_by_recursion,
     first_empty_bin_of,
     min_stones_by_loop,
+    play_sequence_by_walks,
     residue_walk,
     sieve_stage_by_scan,
 )
@@ -121,6 +122,22 @@ def test_sieve_huge_count_is_refused_promptly():
 def test_play_sequence_is_the_leftmost_empty_bin_one_stone_earlier():
     n = 5000
     assert play_sequence(n) == [first_empty_bin_of(k) for k in range(n - 1, -1, -1)]
+
+
+def test_play_sequence_every_n_up_to_three_thousand():
+    # Clearing n stones passes through every board below n, so the walks
+    # for each n are the tail of the walks for 3000.
+    walks = play_sequence_by_walks(3000)
+    for n in range(3001):
+        assert play_sequence(n) == walks[3000 - n :], n
+
+
+def test_play_sequence_of_a_hundred_thousand_is_a_list_of_ints():
+    # bench/run.py hashes answers through freeze, which knows list, not array.
+    n = 10**5
+    got = play_sequence(n)
+    assert type(got) is list and {type(move) for move in got} == {int}
+    assert got == play_sequence_by_walks(n)
 
 
 def test_enumerate_boards_every_length_up_to_four_hundred():
