@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections import Counter
 from collections.abc import Iterator
 from itertools import chain, islice
 
@@ -46,8 +47,9 @@ def _emit(fmt: str, doc, rows) -> None:
     and by a space in a table.  A row that is a tuple holds bins, printed
     ``[a,b,c]`` in a table and ``a,b,c`` in csv.  A row is written in
     pieces of at most ``_CHUNK`` cells, so a short row takes one write
-    and a long one is never held whole as text; a :class:`_Joined` row
-    brings its own pieces.
+    and a long one is never held whole as text.  A row that is an iterator
+    brings its own pieces: text of at most ``_CHUNK`` cells each, already
+    joined by the format's separator, and one piece at least.
     """
     write = sys.stdout.write
     if fmt == "json":
@@ -64,7 +66,7 @@ def _emit(fmt: str, doc, rows) -> None:
     sep, bins = (",", ("", "")) if fmt == "csv" else (" ", ("[", "]"))
     for row in rows:
         joiner, (text, close) = (",", bins) if isinstance(row, tuple) else (sep, ("", ""))
-        pieces = row.pieces if isinstance(row, _Joined) else _pieces(row, joiner)
+        pieces = row if isinstance(row, Iterator) else _pieces(row, joiner)
         text += next(pieces)
         for piece in pieces:
             write(text)
@@ -78,16 +80,6 @@ def _pieces(row, joiner: str) -> Iterator[str]:
     yield joiner.join(islice(cells, _CHUNK))
     while chunk := list(islice(cells, _CHUNK)):
         yield joiner.join(chunk)
-
-
-class _Joined:
-    """A row given as text: pieces of at most ``_CHUNK`` cells each, already
-    joined by the format's separator, and one piece at least."""
-
-    __slots__ = ("pieces",)
-
-    def __init__(self, pieces: Iterator[str]) -> None:
-        self.pieces = pieces
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -156,9 +148,9 @@ def cmd_table(args: argparse.Namespace) -> int:
         # wider than its header b<i>; n and l are widest in the last row.
         widths = [len(str(n_max)), len(str(last.length)), *(len(str(i)) + 1 for i in range(1, last.length + 1))]
         pad = (lambda cells: list(map(str.rjust, cells, widths))) if table else list
-        yield _Joined(pieces(pad(("n", "l")), names))
+        yield pieces(pad(("n", "l")), names)
         for n, board in enumerate(boards):
-            yield _Joined(pieces(pad(map(str, chain((n, board.length), board.bins))), zeros))
+            yield pieces(pad(map(str, chain((n, board.length), board.bins))), zeros)
 
     _emit(
         args.format,
@@ -205,8 +197,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     # A JSON object that repeats a key is refused, not read as its last value.
     doc = dict(pairs)
     if len(doc) < len(pairs):
-        keys = [key for key, _ in pairs]
-        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r} in a JSON object")
+        counts = Counter(key for key, _ in pairs)
+        raise ValueError(f"duplicate key {next(k for k, c in counts.items() if c > 1)!r} in a JSON object")
     return doc
 
 

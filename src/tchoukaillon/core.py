@@ -195,9 +195,15 @@ def play(board: Board) -> tuple[Board, int]:
     return Board._trusted(sown + bins[target:], winning=True), target
 
 
-def _first_played_bin(n: int) -> int:
-    # Smallest i whose bin holds exactly i stones, for n >= 1 (the last
-    # bin always does); the board is walked only up to that bin.
+def first_played_bin(n: int) -> int:
+    """The bin played first when clearing the winning board with n stones.
+
+    Equals the smallest i whose bin holds exactly i stones; the last bin
+    always does, so the scan terminates.  Bin i holds what is left of n
+    mod (i + 1), and the board is walked only up to that bin.
+    """
+    if as_uint(n, "stone count") < 1:
+        raise ValueError("first_played_bin requires n >= 1")
     remaining = n
     i = 1
     while True:
@@ -206,17 +212,6 @@ def _first_played_bin(n: int) -> int:
             return i
         remaining -= count
         i += 1
-
-
-def first_played_bin(n: int) -> int:
-    """The bin played first when clearing the winning board with n stones.
-
-    Equals the smallest i whose bin holds exactly i stones; the last bin
-    always does, so the scan terminates.
-    """
-    if as_uint(n, "stone count") < 1:
-        raise ValueError("first_played_bin requires n >= 1")
-    return _first_played_bin(n)
 
 
 def play_sequence(n: int, cap: int = PLAY_SEQUENCE_CAP) -> list[int]:

@@ -221,12 +221,35 @@ def board_from_shifted(values: Iterable[int]) -> Board:
 
 
 def _violating_pair(system: list[Congruence]) -> tuple[Congruence, Congruence]:
-    for p in range(len(system)):
-        for q in range(p + 1, len(system)):
-            g = math.gcd(system[p].modulus, system[q].modulus)
-            if (system[p].residue - system[q].residue) % g:
-                return system[p], system[q]
-    raise AssertionError("merge failed but all pairs are compatible")
+    # The first clashing pair (p, q) in index order, for a system that
+    # clashes.  Fold it again, keeping the solution of each prefix, up to
+    # the first congruence f that clashes with its prefix.  Congruences
+    # that agree pairwise agree as a system, so p < f <= q, and q clashes
+    # with one of system[:t+1] exactly when it clashes with prefix[t], their
+    # solution: a bisection over the prefix solutions finds each q's first p.
+    # The probe is the gcd test alone, as a merge could pass the period budget.
+    prefix = [(system[0].residue, system[0].modulus)]
+    for congruence in system[1:]:
+        merged = _merge(*prefix[-1], congruence.residue, congruence.modulus)
+        if merged is None:
+            break
+        prefix.append(merged)
+    p = q = f = len(prefix)
+    for j in range(f, len(system)):
+        if p == 0:
+            break  # no later pair comes first
+        value, i = system[j].residue, system[j].modulus
+        lo, hi = 0, p
+        while lo < hi:
+            mid = (lo + hi) // 2
+            residue, modulus = prefix[mid]
+            if (value - residue) % math.gcd(modulus, i):
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo < p:
+            p, q = lo, j
+    return system[p], system[q]
 
 
 def _merge(residue: int, modulus: int, value: int, i: int) -> tuple[int, int] | None:

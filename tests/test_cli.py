@@ -309,13 +309,22 @@ class TestReconstructCommand:
         assert "count at index 3" in err
 
     def test_file_with_repeated_index(self, capsys, tmp_path):
-        # json.load alone would keep the last value, m3 = 2 (n = 2)
-        path = tmp_path / "pc.json"
-        path.write_text('{"indexing": "paper-section-4", "3": 1, "3": 2}')
-        code, out, err = run(capsys, "reconstruct", "--file", str(path))
-        assert code == 2
-        assert out == ""
-        assert "duplicate key '3'" in err
+        for pairs, key in [
+            # json.load alone would keep the last value, m3 = 2 (n = 2)
+            ('"3": 1, "3": 2', "3"),
+            # the first key, in document order, that occurs twice
+            ('"7": 1, "8": 1, "8": 1, "7": 1', "7"),
+            # one late repeat among 50,000 keys: each key is counted once
+            (", ".join(f'"{i}": 0' for i in [*range(2, 50_001), 40_000]), "40000"),
+        ]:
+            path = tmp_path / "pc.json"
+            path.write_text('{"indexing": "paper-section-4", ' + pairs + "}")
+            start = time.perf_counter()
+            code, out, err = run(capsys, "reconstruct", "--file", str(path))
+            assert time.perf_counter() - start < 5
+            assert code == 2
+            assert out == ""
+            assert err == f"error: duplicate key '{key}' in a JSON object\n"
 
     def test_repeated_inline_index(self, capsys):
         code, out, err = run(capsys, "reconstruct", "m3=1", "m3=2")

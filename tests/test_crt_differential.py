@@ -191,9 +191,13 @@ def solved(solve, system):
 
 def test_crt_solve_against_pairwise_fold():
     rng = random.Random(4040)
-    clashes = 0
+    clashes = overflows = 0
     for _ in range(600):
         moduli = [rng.randint(1, 60) for _ in range(rng.randint(1, 6))]
+        # Moduli whose period with the rest can pass 128 bits, at any place:
+        # a clash found before the fold overflows is still named.
+        moduli += rng.choice([[]] * 6 + [[3**80], [2**70], [3**80, 2**70]])
+        rng.shuffle(moduli)
         x = rng.randrange(math.lcm(*moduli))
         system = [Congruence(x % m, m) for m in moduli]
         k = rng.randrange(len(system))
@@ -202,9 +206,55 @@ def test_crt_solve_against_pairwise_fold():
         got = solved(crt_solve, system)
         assert got == solved(oracle.crt_solve_pairwise, system), system
         clashes += got[0] == "Infeasible"
+        overflows += got[0] == "OverflowError"
     assert 50 < clashes < 300
+    assert overflows > 10
 
 
 def test_crt_solve_period_refusal_matches():
-    system = [Congruence(0, 2**70), Congruence(1, 3**50)]
-    assert solved(crt_solve, system) == solved(oracle.crt_solve_pairwise, system)
+    for system in [
+        [Congruence(0, 2**70), Congruence(1, 3**50)],
+        # 1 mod 2 clashes with 0 mod 4; 0 mod 3^80 agrees with both, but its
+        # period with 0 mod 4 passes 128 bits, so it is probed, never merged.
+        [Congruence(0, 4), Congruence(1, 2), Congruence(0, 3**80)],
+        # The first clash, (0 mod 3, 1 mod 3), is not at index 0, so 0 mod 3^80
+        # is probed against 0 mod 4, with which its period passes 128 bits.
+        [Congruence(0, 4), Congruence(0, 3), Congruence(1, 3), Congruence(0, 3**80)],
+    ]:
+        assert solved(crt_solve, system) == solved(oracle.crt_solve_pairwise, system), system
+
+
+def long_clash(n: int, tail: list[Congruence]) -> list[Congruence]:
+    # n times 0 mod 3, then 0 mod 2 and 1 mod 2, which clash, then n more and *tail*
+    three = [Congruence(0, 3)] * n
+    return three + [Congruence(0, 2), Congruence(1, 2)] + three + tail
+
+
+@pytest.mark.parametrize(
+    "tail, first",
+    # Without a tail the first clashing pair is the adjacent one, at n and
+    # n + 1; 1 mod 3 at the end clashes with every 0 mod 3, the first included.
+    [([], (Congruence(0, 2), Congruence(1, 2))), ([Congruence(1, 3)], (Congruence(0, 3), Congruence(1, 3)))],
+    ids=["adjacent-pair", "late-pair"],
+)
+def test_crt_solve_refuses_a_long_system_in_few_gcd_probes(monkeypatch, tail, first):
+    # The oracle tests pairs in order, about n^2 of them here, so it is run
+    # on a short system of the same shape; the long one is checked for the
+    # same pair and counted in gcd calls, about log2(k) for each of k.
+    short = long_clash(30, tail)
+    assert solved(crt_solve, short) == solved(oracle.crt_solve_pairwise, short)
+    assert solved(crt_solve, short)[2] == first
+    system = long_clash(20_000, tail)
+    calls = 0
+    gcd = math.gcd
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return gcd(a, b)
+
+    monkeypatch.setattr(math, "gcd", counted)
+    got = solved(crt_solve, system)
+    monkeypatch.undo()
+    assert got == solved(crt_solve, short)
+    assert calls < len(system) * (math.log2(len(system)) + 3)
