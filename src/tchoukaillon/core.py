@@ -83,7 +83,7 @@ class Board(_Frozen):
         return cls(tuple(data))
 
 
-EMPTY_BOARD = Board()
+EMPTY_BOARD = Board._trusted((), winning=True)
 
 
 def _bin_runs(n: int) -> Iterator[range]:

@@ -72,6 +72,14 @@ class RemainderBoard(_Frozen):
         object.__setattr__(self, "residues", residues)
         object.__setattr__(self, "n", n)
 
+    @classmethod
+    def _trusted(cls, residues: tuple[int, ...], n: int | None) -> "RemainderBoard":
+        # Residues the library derived itself: not re-checked.
+        board = object.__new__(cls)
+        object.__setattr__(board, "residues", residues)
+        object.__setattr__(board, "n", n)
+        return board
+
     @property
     def max_modulus(self) -> int:
         return len(self.residues) + 1
@@ -104,6 +112,13 @@ class IncreasingRemainderBoard(_Frozen):
                 )
             previous = value
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _trusted(cls, values: tuple[int, ...]) -> "IncreasingRemainderBoard":
+        # Entries the library derived itself: not re-checked.
+        lift = object.__new__(cls)
+        object.__setattr__(lift, "values", values)
+        return lift
 
     @property
     def max_modulus(self) -> int:
@@ -179,7 +194,7 @@ def remainder_board(n: int, k: int) -> RemainderBoard:
     """Residues of n modulo 2..k."""
     as_uint(n, "stone count")
     _check_modulus(k)
-    return RemainderBoard(tuple(n % i for i in range(2, k + 1)), n=n)
+    return RemainderBoard._trusted(tuple(n % i for i in range(2, k + 1)), n)
 
 
 def increasing_remainder_board(n: int, k: int) -> IncreasingRemainderBoard:
@@ -191,7 +206,7 @@ def increasing_remainder_board(n: int, k: int) -> IncreasingRemainderBoard:
     for i in range(2, k + 1):
         previous += (n - previous) % i
         values.append(previous)
-    return IncreasingRemainderBoard(tuple(values))
+    return IncreasingRemainderBoard._trusted(tuple(values))
 
 
 def board_from_increasing(lift: IncreasingRemainderBoard) -> Board:
@@ -357,6 +372,9 @@ def allowable_check(values: Iterable[int]) -> tuple[bool, list[tuple[int, int]]]
 def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
     """All allowable full prefixes m_2..m_K extending the constraint.
 
+    K is the highest constrained index; the empty constraint has K = 0
+    and the one completion ().
+
     Assigns indices in increasing order, smaller counts first, so the
     order is deterministic.  Each node carries the prefix total and the
     solution n = residue (mod lcm(2..i-1)) of the congruences so far;
@@ -375,9 +393,6 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
     allowable prefix below it.  Windows ending at 89 or above are left to
     the search, which raises OverflowError at 89 before it reaches them.
     """
-    if not pc.entries:
-        yield ()
-        return
     fixed = pc.as_dict()
     for i, _ in pc.entries:
         if i - 1 <= MAX_PERIOD_INDEX and i - 1 in fixed:
@@ -446,14 +461,12 @@ def reconstruct_minimal(pc: PartialConstraint, cap: int = COMPLETION_CAP) -> tup
     the board equal to the completion itself, recognizable by its stone
     total.  Raises if more than *cap* completions exist.
     """
-    if not pc.entries:
-        return 0, Board()
     best_n: int | None = None
     for count, completion in enumerate(complete_constraints(pc), 1):
         if count > cap:
             raise RuntimeError(f"completion cap {cap} exceeded for {pc.as_dict()}")
         n, period = _solve_completion(completion)
-        if completion[-1] == 0 and n == sum(completion):
+        if completion[-1:] == (0,) and n == sum(completion):
             n += period
         if best_n is None or n < best_n:
             best_n = n

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .checked import MAX_BOARD_BINS, SEQUENCE_CAP, UINT128_MAX, as_uint
-from .core import Board, _stage_element
+from .core import EMPTY_BOARD, Board, _stage_element
 
 
 def enumerate_boards(length: int) -> Iterator[Board]:
@@ -29,7 +29,7 @@ def enumerate_boards(length: int) -> Iterator[Board]:
     more than 2^24 bins in all.
     """
     if as_uint(length, "board length") == 0:
-        return iter((Board(),))
+        return iter((EMPTY_BOARD,))
     # Every length has a board, so one past the budget needs no count.
     if length > MAX_BOARD_BINS or length * (
         _stage_element(length + 1, 1, UINT128_MAX) - _stage_element(length, 1, UINT128_MAX)

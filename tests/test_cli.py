@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tchoukaillon import UINT128_MAX, Board, board_from_stones, make_star
-from tchoukaillon.cli import main
+from tchoukaillon.cli import entry, main
 
 from golden import INITIAL_BOARDS
 
@@ -476,6 +476,25 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+class TestEntry:
+    """The ``tchouk`` console script: ``entry`` exits with ``main``'s code."""
+
+    @pytest.mark.parametrize(
+        "argv,code,out",
+        [
+            (["board", "15"], 0, "[1,2,0,2,4,6]\n"),
+            (["reconstruct", "m40=0", "m41=0", "m42=1"], 1, "infeasible"),
+            (["board", "--", "-5"], 2, ""),
+        ],
+    )
+    def test_exit_code(self, capsys, monkeypatch, argv, code, out):
+        monkeypatch.setattr(sys, "argv", ["tchouk", *argv])
+        with pytest.raises(SystemExit) as exc_info:
+            entry()
+        assert exc_info.value.code == code
+        assert capsys.readouterr().out.startswith(out)
 
 
 class TestUsageErrors:

@@ -12,6 +12,7 @@ from tchoukaillon import (
     IncreasingRemainderBoard,
     Infeasible,
     PartialConstraint,
+    RemainderBoard,
     allowable_check,
     board_from_increasing,
     board_from_shifted,
@@ -74,6 +75,18 @@ class TestRemainderBoards:
         for n, residues, lifted in REMAINDER_ROWS:
             assert remainder_board(n, 7).residues == residues
             assert increasing_remainder_board(n, 7).values == lifted
+
+    def test_builders_equal_checked_constructors(self):
+        # The builders skip the constructors' checks on their own output.
+        rng = random.Random(20)
+        ns = [0, 10**6, 2**127 + 12345, *(rng.getrandbits(rng.randint(1, 128)) for _ in range(12))]
+        for n in ns:
+            for k in (2, 3, 11, rng.randint(12, 3000), 3000):
+                residues = tuple(n % i for i in range(2, k + 1))
+                assert remainder_board(n, k) == RemainderBoard(residues, n=n)
+                lift = increasing_remainder_board(n, k)
+                assert lift == IncreasingRemainderBoard(lift.values)
+                assert tuple(v % i for i, v in enumerate(lift.values, 2)) == residues
 
     def test_residue_accessor(self):
         rb = remainder_board(29, 11)

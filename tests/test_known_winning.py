@@ -17,6 +17,7 @@ import random
 import pytest
 
 from tchoukaillon import (
+    EMPTY_BOARD,
     Board,
     PartialConstraint,
     board_from_increasing,
@@ -72,9 +73,10 @@ class TestMarkedBoardsWin:
             assert_known_winning(board)
 
     def test_enumerate_boards(self):
-        for length in range(1, 16):
+        for length in range(16):
             for board in enumerate_boards(length):
                 assert_known_winning(board)
+        assert_known_winning(EMPTY_BOARD)
 
     def test_enumerate_boards_of_length_2000(self):
         boards = list(enumerate_boards(2000))
@@ -84,11 +86,14 @@ class TestMarkedBoardsWin:
     @pytest.mark.parametrize(
         "solve,entries",
         [
+            (reconstruct, {}),
             (reconstruct, {3: 1, 7: 2}),
             (reconstruct, {3: 1, 7: 2, 9: 3}),
             (reconstruct, {12: 1}),
+            (reconstruct_minimal, {}),
             (reconstruct_minimal, {3: 1, 7: 2}),
             (reconstruct_minimal, {4: 1, 7: 0}),
+            (prime_reconstruct, {}),
             (prime_reconstruct, {5: 2, 7: 3, 11: 4}),
         ],
     )
