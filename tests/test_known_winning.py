@@ -86,19 +86,22 @@ class TestMarkedBoardsWin:
     @pytest.mark.parametrize(
         "solve,entries",
         [
-            (reconstruct, {}),
             (reconstruct, {3: 1, 7: 2}),
             (reconstruct, {3: 1, 7: 2, 9: 3}),
             (reconstruct, {12: 1}),
-            (reconstruct_minimal, {}),
             (reconstruct_minimal, {3: 1, 7: 2}),
             (reconstruct_minimal, {4: 1, 7: 0}),
-            (prime_reconstruct, {}),
             (prime_reconstruct, {5: 2, 7: 3, 11: 4}),
         ],
     )
     def test_reconstructions(self, solve, entries):
         n, board = solve(PartialConstraint(entries))
+        assert board.stones == n
+        assert_known_winning(board)
+
+    @pytest.mark.parametrize("solve", [reconstruct, reconstruct_minimal, prime_reconstruct])
+    def test_empty_constraint_reconstructions(self, solve):
+        n, board = solve(PartialConstraint({}))
         assert board.stones == n
         assert_known_winning(board)
 
