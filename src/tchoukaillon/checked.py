@@ -56,9 +56,13 @@ MAX_WALK_STEPS = 1 << 22        # walk steps, counted, RuntimeError: graph.enume
 #   in the game search; the finiteness check takes about 0.3 s and 35 MB
 #   at 2^16 vertices, 6 s and 300 MB at 2^20 (CPython 3.11, 2-core VM).
 # - MAX_WALK_STEPS: one step per walk extension, plus len(path) +
-#   vertex_count per legal walk recorded (both are copied).  Rumas never
-#   block a walk, so walks can grow exponentially in number with length;
-#   make_star(4, 5) at cap 30000 takes about 2.0M.
+#   vertex_count per legal walk recorded (both are copied), plus one per
+#   part for each move of a game built as a product of independent parts
+#   (fewer than the len(path) + vertex_count a search of the whole
+#   board pays for the same move).  Rumas never block a walk, so
+#   walks can grow exponentially in number with length.  make_star(4, 5)
+#   at cap 30000 takes 305,312: 1,184 to search its spokes and 4 per
+#   product move; a search of every board would take 2,045,952.
 
 
 def as_uint(value: object, what: str) -> int:

@@ -14,10 +14,13 @@ runs dry when unplaying.
 from __future__ import annotations
 
 import functools
-from itertools import groupby
-from operator import itemgetter
+from itertools import chain, groupby
+from operator import add, itemgetter, sub
 
 from .checked import DEFAULT_BOARD_CAP, MAX_VERTICES, MAX_WALK_STEPS, _Frozen, as_uint
+
+# object.__setattr__, looked up once: a game search builds a value per board and edge.
+_set = object.__setattr__
 
 
 class IllegalMoveError(ValueError):
@@ -62,11 +65,11 @@ class SowingGraph(_Frozen):
         for r in ruma:
             if r >= vertex_count:
                 raise ValueError(f"Ruma vertex {r} does not exist")
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "ruma", ruma)
-        object.__setattr__(self, "successors", {v: tuple(sorted(ws)) for v, ws in out.items()})
-        object.__setattr__(self, "bins", tuple(v for v in range(vertex_count) if v not in ruma))
+        _set(self, "vertex_count", vertex_count)
+        _set(self, "edges", edges)
+        _set(self, "ruma", ruma)
+        _set(self, "successors", {v: tuple(sorted(ws)) for v, ws in out.items()})
+        _set(self, "bins", tuple(v for v in range(vertex_count) if v not in ruma))
 
     def zero_board(self) -> "GraphBoard":
         return GraphBoard._trusted((0,) * self.vertex_count)
@@ -117,13 +120,13 @@ class GraphBoard(_Frozen):
         labels = tuple(labels)
         for count in labels:
             as_uint(count, "vertex label")
-        object.__setattr__(self, "labels", labels)
+        _set(self, "labels", labels)
 
     @classmethod
     def _trusted(cls, labels: tuple[int, ...]) -> "GraphBoard":
         # Labels the library derived itself: not re-checked.
         board = object.__new__(cls)
-        object.__setattr__(board, "labels", labels)
+        _set(board, "labels", labels)
         return board
 
 
@@ -137,9 +140,9 @@ class Move(_Frozen):
     __slots__ = __match_args__ = ("vertex", "ruma", "path")
 
     def __init__(self, vertex: int, ruma: int, path: tuple[int, ...]) -> None:
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "ruma", ruma)
-        object.__setattr__(self, "path", path)
+        _set(self, "vertex", vertex)
+        _set(self, "ruma", ruma)
+        _set(self, "path", path)
 
     def __lt__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -153,9 +156,9 @@ class GameEdge(_Frozen):
     __slots__ = __match_args__ = ("source", "target", "moves")
 
     def __init__(self, source: int, target: int, moves: tuple[Move, ...]) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "moves", moves)
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "moves", moves)
 
 
 class GameGraph(_Frozen):
@@ -166,9 +169,9 @@ class GameGraph(_Frozen):
     def __init__(
         self, boards: tuple[GraphBoard, ...], edges: tuple[GameEdge, ...], truncated: bool = False
     ) -> None:
-        object.__setattr__(self, "boards", boards)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "truncated", truncated)
+        _set(self, "boards", boards)
+        _set(self, "edges", edges)
+        _set(self, "truncated", truncated)
 
 
 def _check_walk(graph: SowingGraph, path: tuple[int, ...]) -> None:
@@ -302,6 +305,16 @@ def has_finite_game_graph(graph: SowingGraph) -> tuple[bool, tuple[int, int] | N
     return witness is None, witness
 
 
+def _budget_refusal() -> RuntimeError:
+    return RuntimeError(f"the unplay walk search exceeded its budget of {MAX_WALK_STEPS} steps")
+
+
+def _cap_refusal(cap: int) -> RuntimeError:
+    return RuntimeError(
+        f"the finite game graph has more than {cap} boards; raise the board cap (--cap) to enumerate it"
+    )
+
+
 def _legal_unplays(
     labels: list[int],
     starts: tuple[int, ...],
@@ -339,7 +352,7 @@ def _legal_unplays(
                     continue
                 budget -= 1
                 if budget < 0:
-                    raise RuntimeError(f"the unplay walk search exceeded its budget of {MAX_WALK_STEPS} steps")
+                    raise _budget_refusal()
                 if len(path) <= max_length:
                     pending.append(iter(successors[w]))
                     break
@@ -355,6 +368,142 @@ def _legal_unplays(
     return found, budget
 
 
+def _parts(graph: SowingGraph, successors: list[tuple[int, ...]], on_cycle: list[bool]) -> list[tuple[int, ...]]:
+    # The bins of each independent part of the game, in id order.  When no
+    # Ruma has an out-edge and no vertex lies on a cycle, a walk ends on
+    # the first Ruma it reaches and never leaves its start's weakly
+    # connected component of the bin subgraph, so each component plays
+    # its own game; otherwise the whole board is one part.  It is one part
+    # as well when fewer than two bins feed a Ruma, as on a path: only a
+    # part holding such a bin has moves, and the others stay empty.  The
+    # components of a single bin are searched together, as one part: each
+    # has at most two boards, and searching it costs about what the
+    # product pass spends on a board.
+    if any(on_cycle) or any(successors[r] for r in graph.ruma):
+        return [graph.bins]
+    if len({a for a, b in graph.edges if b in graph.ruma}) < 2:
+        return [graph.bins]
+    # Union-find over the edges between bins, halving paths as it goes.
+    root = list(range(graph.vertex_count))
+    for a, b in graph.edges:
+        if b not in graph.ruma:
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            root[a] = b
+    members: dict[int, list[int]] = {}
+    for v in graph.bins:
+        r = v
+        while root[r] != r:
+            r = root[r]
+        members.setdefault(r, []).append(v)
+    parts = [tuple(part) for part in members.values() if len(part) > 1]
+    singles = tuple(part[0] for part in members.values() if len(part) == 1)
+    if singles:
+        parts.append(singles)
+    return parts if len(parts) > 1 else [graph.bins]
+
+
+def _part_game(
+    starts: tuple[int, ...],
+    finite: bool,
+    cap: int,
+    on_cycle: list[bool],
+    successors: list[tuple[int, ...]],
+    is_ruma: list[bool],
+    budget: int,
+    walks: dict[tuple[int, ...], tuple[Move]],
+) -> tuple[list[tuple[int, ...]], list[tuple], int]:
+    # Breadth-first closure of unplaying from the empty board, walks
+    # starting only on *starts*.  Returns the boards' full vertex labels
+    # in discovery order; one (target, source, (move,)) per sow move, by
+    # source and then in (v, r, path) order; and the step budget left.
+    # *walks* holds the one (move,) of each distinct walk, shared by every
+    # edge that uses it.
+    n = len(is_ruma)
+    # Ruma labels stay 0, since unplaying only ever takes captured stones back.
+    keys = [(0,) * n]
+    index = {keys[0]: 0}
+    sows: list[tuple] = []
+    yi = 0
+    while yi < len(keys):
+        labels = list(keys[yi])
+        # Any longer walk would wrap a stone-free cycle, which a
+        # criterion-finite graph does not offer along unplay walks.
+        limit = (sum(labels) + 1) * (n + 1) if finite else cap * n
+        found, budget = _legal_unplays(labels, starts, on_cycle, successors, is_ruma, limit, budget)
+        for v, r, path, key in found:
+            grown = index.get(key)
+            if grown is None:
+                if len(keys) >= cap:
+                    if finite:
+                        raise _cap_refusal(cap)
+                    continue
+                grown = index[key] = len(keys)
+                keys.append(key)
+            walk = walks.get(path)
+            if walk is None:
+                walk = walks[path] = (Move(v, r, path),)
+            sows.append((grown, yi, walk))
+        yi += 1
+    return keys, sows, budget
+
+
+def _product_game(games: list[tuple], cap: int, budget: int) -> tuple[list[tuple[int, ...]], list[tuple]]:
+    # The game of independent parts, breadth-first over its boards, each
+    # a choice of one board per part.  A board's unplays are its parts'
+    # unplays, each part's in (v, r, path) order; the parts own disjoint
+    # vertices, so a stable sort by v gives the order a search of the
+    # whole board finds them in, and the boards are discovered in the
+    # same order.  A board is keyed by the mixed-radix number of its part
+    # boards (part p's board is key // strides[p] % its board count), so a
+    # move adds a fixed step to the key and changes the labels of its own
+    # part only.  Each move costs the budget one step per part, less than
+    # a search of the whole board pays for it.  Returns the boards' vertex
+    # labels and the sows, as _part_game does.
+    # rows[p][i]: the moves of part p's board i, as (v, key step, (move,), label change).
+    rows = []
+    strides = []
+    stride = 1
+    for part_keys, part_sows in games:
+        row: list[list[tuple]] = [[] for _ in part_keys]
+        for grown, source, walk in part_sows:
+            change = tuple(map(sub, part_keys[grown], part_keys[source]))
+            row[source].append((walk[0].vertex, (grown - source) * stride, walk, change))
+        rows.append(row)
+        strides.append(stride)
+        stride *= len(part_keys)
+    # The empty board: every part on its first board.
+    codes = [0]
+    boards = [games[0][0][0]]
+    index = {0: 0}
+    sows: list[tuple] = []
+    vertex = itemgetter(0)
+    yi = 0
+    while yi < len(codes):
+        code = codes[yi]
+        found = []
+        for row, stride in zip(rows, strides):
+            found += row[code // stride % len(row)]
+        budget -= len(found) * len(rows)
+        if budget < 0:
+            raise _budget_refusal()
+        found.sort(key=vertex)
+        for _, step, walk, change in found:
+            key = code + step
+            grown = index.get(key)
+            if grown is None:
+                if len(codes) >= cap:
+                    raise _cap_refusal(cap)
+                grown = index[key] = len(codes)
+                codes.append(key)
+                boards.append(tuple(map(add, boards[yi], change)))
+            sows.append((grown, yi, walk))
+        yi += 1
+    return boards, sows
+
+
 def enumerate_winning_boards(graph: SowingGraph, cap: int = DEFAULT_BOARD_CAP) -> GameGraph:
     """Breadth-first closure of unplaying from the empty board.
 
@@ -363,6 +512,12 @@ def enumerate_winning_boards(graph: SowingGraph, cap: int = DEFAULT_BOARD_CAP) -
     returns a truncated prefix: at most *cap* boards, with per-unmove
     walk lengths capped at cap * vertex_count.  Either case raises
     RuntimeError when the walk search passes its step budget.
+
+    When no Ruma has an out-edge and no vertex lies on a cycle, each
+    weakly connected component of the bins (a spoke of a star) plays its
+    own game, and the game is their product: each part is searched once
+    and the product is built from the parts' moves, with the boards and
+    edges in the order a search of the whole board gives.
     """
     if as_uint(cap, "board cap") < 1:
         raise ValueError("cap must be >= 1")
@@ -372,42 +527,27 @@ def enumerate_winning_boards(graph: SowingGraph, cap: int = DEFAULT_BOARD_CAP) -
     n = graph.vertex_count
     is_ruma = [v in graph.ruma for v in range(n)]
     successors = [graph.successors[v] for v in range(n)]
-    # Board labels are kept as full vertex tuples; Ruma labels stay 0,
-    # since unplaying only ever takes captured stones back.
-    keys = [(0,) * n]
-    index = {keys[0]: 0}
-    # One (source, target, v, r, path) per sow move found.
-    sows: list[tuple] = []
+    parts = _parts(graph, successors, on_cycle)
+    walks: dict[tuple[int, ...], tuple[Move]] = {}
     budget = MAX_WALK_STEPS
-    yi = 0
-    while yi < len(keys):
-        labels = list(keys[yi])
-        # Any longer walk would wrap a stone-free cycle, which a
-        # criterion-finite graph does not offer along unplay walks.
-        limit = (sum(labels) + 1) * (n + 1) if finite else cap * n
-        found, budget = _legal_unplays(labels, graph.bins, on_cycle, successors, is_ruma, limit, budget)
-        for v, r, path, key in found:
-            grown = index.get(key)
-            if grown is None:
-                if len(keys) >= cap:
-                    if finite:
-                        raise RuntimeError(
-                            f"the finite game graph has more than {cap} boards; "
-                            "raise the board cap (--cap) to enumerate it"
-                        )
-                    continue
-                grown = index[key] = len(keys)
-                keys.append(key)
-            sows.append((grown, yi, v, r, path))
-        yi += 1
+    games = []
+    for starts in parts:
+        keys, sows, budget = _part_game(starts, finite, cap, on_cycle, successors, is_ruma, budget, walks)
+        games.append((keys, sows))
+    if len(games) == 1:
+        keys, sows = games[0]
+    else:
+        keys, sows = _product_game(games, cap, budget)
     # Targets were expanded in index order and each board's moves found in
     # (v, r, path) order, so a stable sort by source orders the edges.
     sows.sort(key=itemgetter(0))
-    edges = tuple(
-        GameEdge(source, target, tuple(Move(v, r, path) for _, _, v, r, path in moves))
-        for (source, target), moves in groupby(sows, itemgetter(0, 1))
-    )
-    return GameGraph(tuple(GraphBoard._trusted(key) for key in keys), edges, truncated=not finite)
+    # A one-move edge keeps its walk's shared (move,).
+    third = itemgetter(2)
+    edges = []
+    for (source, target), group in groupby(sows, itemgetter(0, 1)):
+        moves = list(map(third, group))
+        edges.append(GameEdge(source, target, moves[0] if len(moves) == 1 else tuple(chain.from_iterable(moves))))
+    return GameGraph(tuple(map(GraphBoard._trusted, keys)), tuple(edges), truncated=not finite)
 
 
 def make_path(length: int) -> SowingGraph:

@@ -4,7 +4,8 @@ Each case runs in the default format and with ``--format`` table, json
 and csv; the default must print what table prints.  ``table 12 --bins 11``
 takes its header past b9, where the table's columns widen.  A case that lists
 only table (``dot``) prints the same text for every format.  The graph
-files are a path and a 4-cycle, each with its Ruma at vertex 0.
+files are a path, a 4-cycle and a star of two 2-bin spokes, each with its
+Ruma at vertex 0; the star's game is the product of its spokes' games.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ from tchoukaillon.cli import main
 GRAPHS = {
     "PATH3": {"vertices": 4, "edges": [[1, 0], [2, 1], [3, 2]], "ruma": [0]},
     "CYCLE4": {"vertices": 4, "edges": [[1, 0], [2, 1], [3, 2], [0, 3]], "ruma": [0]},
+    "STAR22": {"vertices": 5, "edges": [[1, 0], [2, 1], [3, 0], [4, 3]], "ruma": [0]},
 }
 
 GOLDEN = {
@@ -289,6 +291,120 @@ GOLDEN = {
             '  "[1,2,0]" -> "[0,2,0]" [label="v1"];\n'
             '  "[0,1,3]" -> "[1,2,0]" [label="v3"];\n'
             '  "[1,1,3]" -> "[0,1,3]" [label="v1"];\n'
+            "}\n"
+        ), ""),
+    },
+    ("graph", "STAR22", "enumerate"): {
+        "table": (0, (
+            "[0,0,0,0]\n"
+            "[1,0,0,0]\n"
+            "[0,0,1,0]\n"
+            "[0,2,0,0]\n"
+            "[1,0,1,0]\n"
+            "[0,0,0,2]\n"
+            "[1,2,0,0]\n"
+            "[0,2,1,0]\n"
+            "[1,0,0,2]\n"
+            "[0,0,1,2]\n"
+            "[1,2,1,0]\n"
+            "[0,2,0,2]\n"
+            "[1,0,1,2]\n"
+            "[1,2,0,2]\n"
+            "[0,2,1,2]\n"
+            "[1,2,1,2]\n"
+        ), ""),
+        "json": (0, (
+            '{"truncated": false, "boards": [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 2, '
+            '0, 0], [1, 0, 1, 0], [0, 0, 0, 2], [1, 2, 0, 0], [0, 2, 1, 0], [1, 0, 0, 2], [0, '
+            '0, 1, 2], [1, 2, 1, 0], [0, 2, 0, 2], [1, 0, 1, 2], [1, 2, 0, 2], [0, 2, 1, 2], '
+            '[1, 2, 1, 2]], "edges": [{"from": 1, "to": 0, "moves": [{"vertex": 1, "ruma": 0, '
+            '"path": [1, 0]}]}, {"from": 2, "to": 0, "moves": [{"vertex": 3, "ruma": 0, '
+            '"path": [3, 0]}]}, {"from": 3, "to": 1, "moves": [{"vertex": 2, "ruma": 0, '
+            '"path": [2, 1, 0]}]}, {"from": 4, "to": 1, "moves": [{"vertex": 3, "ruma": 0, '
+            '"path": [3, 0]}]}, {"from": 4, "to": 2, "moves": [{"vertex": 1, "ruma": 0, '
+            '"path": [1, 0]}]}, {"from": 5, "to": 2, "moves": [{"vertex": 4, "ruma": 0, '
+            '"path": [4, 3, 0]}]}, {"from": 6, "to": 3, "moves": [{"vertex": 1, "ruma": 0, '
+            '"path": [1, 0]}]}, {"from": 7, "to": 3, "moves": [{"vertex": 3, "ruma": 0, '
+            '"path": [3, 0]}]}, {"from": 7, "to": 4, "moves": [{"vertex": 2, "ruma": 0, '
+            '"path": [2, 1, 0]}]}, {"from": 8, "to": 4, "moves": [{"vertex": 4, "ruma": 0, '
+            '"path": [4, 3, 0]}]}, {"from": 8, "to": 5, "moves": [{"vertex": 1, "ruma": 0, '
+            '"path": [1, 0]}]}, {"from": 9, "to": 5, "moves": [{"vertex": 3, "ruma": 0, '
+            '"path": [3, 0]}]}, {"from": 10, "to": 6, "moves": [{"vertex": 3, "ruma": 0, '
+            '"path": [3, 0]}]}, {"from": 10, "to": 7, "moves": [{"vertex": 1, "ruma": 0, '
+            '"path": [1, 0]}]}, {"from": 11, "to": 7, "moves": [{"vertex": 4, "ruma": 0, '
+            '"path": [4, 3, 0]}]}, {"from": 11, "to": 8, "moves": [{"vertex": 2, "ruma": 0, '
+            '"path": [2, 1, 0]}]}, {"from": 12, "to": 8, "moves": [{"vertex": 3, "ruma": 0, '
+            '"path": [3, 0]}]}, {"from": 12, "to": 9, "moves": [{"vertex": 1, "ruma": 0, '
+            '"path": [1, 0]}]}, {"from": 13, "to": 10, "moves": [{"vertex": 4, "ruma": 0, '
+            '"path": [4, 3, 0]}]}, {"from": 13, "to": 11, "moves": [{"vertex": 1, "ruma": 0, '
+            '"path": [1, 0]}]}, {"from": 14, "to": 11, "moves": [{"vertex": 3, "ruma": 0, '
+            '"path": [3, 0]}]}, {"from": 14, "to": 12, "moves": [{"vertex": 2, "ruma": 0, '
+            '"path": [2, 1, 0]}]}, {"from": 15, "to": 13, "moves": [{"vertex": 3, "ruma": 0, '
+            '"path": [3, 0]}]}, {"from": 15, "to": 14, "moves": [{"vertex": 1, "ruma": 0, '
+            '"path": [1, 0]}]}]}\n'
+        ), ""),
+        "csv": (0, (
+            "[0,0,0,0]\n"
+            "[1,0,0,0]\n"
+            "[0,0,1,0]\n"
+            "[0,2,0,0]\n"
+            "[1,0,1,0]\n"
+            "[0,0,0,2]\n"
+            "[1,2,0,0]\n"
+            "[0,2,1,0]\n"
+            "[1,0,0,2]\n"
+            "[0,0,1,2]\n"
+            "[1,2,1,0]\n"
+            "[0,2,0,2]\n"
+            "[1,0,1,2]\n"
+            "[1,2,0,2]\n"
+            "[0,2,1,2]\n"
+            "[1,2,1,2]\n"
+        ), ""),
+    },
+    ("graph", "STAR22", "dot"): {
+        "table": (0, (
+            "digraph sowing_game {\n"
+            '  "[0,0,0,0]";\n'
+            '  "[1,0,0,0]";\n'
+            '  "[0,0,1,0]";\n'
+            '  "[0,2,0,0]";\n'
+            '  "[1,0,1,0]";\n'
+            '  "[0,0,0,2]";\n'
+            '  "[1,2,0,0]";\n'
+            '  "[0,2,1,0]";\n'
+            '  "[1,0,0,2]";\n'
+            '  "[0,0,1,2]";\n'
+            '  "[1,2,1,0]";\n'
+            '  "[0,2,0,2]";\n'
+            '  "[1,0,1,2]";\n'
+            '  "[1,2,0,2]";\n'
+            '  "[0,2,1,2]";\n'
+            '  "[1,2,1,2]";\n'
+            '  "[1,0,0,0]" -> "[0,0,0,0]" [label="v1"];\n'
+            '  "[0,0,1,0]" -> "[0,0,0,0]" [label="v3"];\n'
+            '  "[0,2,0,0]" -> "[1,0,0,0]" [label="v2"];\n'
+            '  "[1,0,1,0]" -> "[1,0,0,0]" [label="v3"];\n'
+            '  "[1,0,1,0]" -> "[0,0,1,0]" [label="v1"];\n'
+            '  "[0,0,0,2]" -> "[0,0,1,0]" [label="v4"];\n'
+            '  "[1,2,0,0]" -> "[0,2,0,0]" [label="v1"];\n'
+            '  "[0,2,1,0]" -> "[0,2,0,0]" [label="v3"];\n'
+            '  "[0,2,1,0]" -> "[1,0,1,0]" [label="v2"];\n'
+            '  "[1,0,0,2]" -> "[1,0,1,0]" [label="v4"];\n'
+            '  "[1,0,0,2]" -> "[0,0,0,2]" [label="v1"];\n'
+            '  "[0,0,1,2]" -> "[0,0,0,2]" [label="v3"];\n'
+            '  "[1,2,1,0]" -> "[1,2,0,0]" [label="v3"];\n'
+            '  "[1,2,1,0]" -> "[0,2,1,0]" [label="v1"];\n'
+            '  "[0,2,0,2]" -> "[0,2,1,0]" [label="v4"];\n'
+            '  "[0,2,0,2]" -> "[1,0,0,2]" [label="v2"];\n'
+            '  "[1,0,1,2]" -> "[1,0,0,2]" [label="v3"];\n'
+            '  "[1,0,1,2]" -> "[0,0,1,2]" [label="v1"];\n'
+            '  "[1,2,0,2]" -> "[1,2,1,0]" [label="v4"];\n'
+            '  "[1,2,0,2]" -> "[0,2,0,2]" [label="v1"];\n'
+            '  "[0,2,1,2]" -> "[0,2,0,2]" [label="v3"];\n'
+            '  "[0,2,1,2]" -> "[1,0,1,2]" [label="v2"];\n'
+            '  "[1,2,1,2]" -> "[1,2,0,2]" [label="v3"];\n'
+            '  "[1,2,1,2]" -> "[0,2,1,2]" [label="v1"];\n'
             "}\n"
         ), ""),
     },

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import tchoukaillon.graph as graph_module
 from tchoukaillon import (
     Board,
     GraphBoard,
@@ -338,6 +339,31 @@ class TestBudgets:
     def test_walk_budget_admits_large_star(self):
         game = enumerate_winning_boards(make_star(4, 5), cap=30_000)
         assert len(game.boards) == min_stones(6) ** 4
+
+    def test_large_star_searches_its_spokes(self, monkeypatch):
+        # the star is the product of its spokes: each spoke's 12 boards are
+        # searched once, not each of the 12^4 = 20,736 boards of the star
+        searched = []
+
+        def counted(labels, starts, *rest):
+            searched.append(starts)
+            return legal_unplays(labels, starts, *rest)
+
+        legal_unplays = graph_module._legal_unplays
+        monkeypatch.setattr(graph_module, "_legal_unplays", counted)
+        game = enumerate_winning_boards(make_star(4, 5), cap=30_000)
+        assert len(game.boards) == 20_736
+        assert len(searched) == 4 * min_stones(6) == 48
+        assert sorted(set(searched)) == [tuple(range(1 + 5 * s, 6 + 5 * s)) for s in range(4)]
+
+    def test_walk_budget_counts_product_moves(self):
+        # the first 2^20 boards of 20 two-bin spokes hold about 20M moves;
+        # each costs one step per spoke, so the search is refused, as a
+        # search of the whole board is, before it holds them all
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="walk search exceeded its budget"):
+            enumerate_winning_boards(make_star(20, 2), cap=2**20)
+        assert time.perf_counter() - start < 5
 
     @pytest.mark.parametrize(
         "build",

@@ -4,8 +4,12 @@ Every enumeration must give byte-identical JSON and DOT exports to the
 breadth-first closure that replays each legal walk through the checked
 ``unplay_move``, exported by the per-edge DOT renderer, and the
 arithmetic cycle game must give the totals of the replayed walks.
+Graphs whose bins fall into independent parts are searched part by part
+and built as a product; the oracle searches them whole.
 """
 
+import math
+import pickle
 import random
 
 import pytest
@@ -72,6 +76,10 @@ def test_cycles_at_every_cap(length):
         SowingGraph(5, frozenset({(1, 0), (2, 1), (3, 2), (2, 4)}), frozenset({0})),
         SowingGraph(3, frozenset({(1, 0), (1, 2)}), frozenset({0, 2})),
         SowingGraph(2, frozenset({(1, 0), (0, 0)}), frozenset({0})),
+        # two parts, one feeding the Ruma
+        SowingGraph(5, frozenset({(1, 0), (2, 1), (4, 3)}), frozenset({0})),
+        # parts {1, 3} and {2, 4} with interleaved ids, each feeding its own Ruma
+        SowingGraph(6, frozenset({(1, 0), (3, 1), (3, 0), (2, 5), (4, 2)}), frozenset({0, 5})),
     ],
 )
 def test_hand_built_graphs(graph):
@@ -101,6 +109,73 @@ def test_random_graphs(monkeypatch):
         assert got == exports(graph, ORACLE, cap), f"seed {seed}"
         compared += 1
     assert compared >= 300
+
+
+def factoring_graph(rng):
+    """A graph of 2-4 acyclic parts whose vertex ids interleave, feeding 1-2 sink Rumas, and its parts' bins."""
+    rumas = rng.randint(1, 2)
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+    ids = list(range(rumas + sum(sizes)))
+    rng.shuffle(ids)
+    ruma, rest = ids[:rumas], ids[rumas:]
+    edges = set()
+    parts = []
+    for size in sizes:
+        # Edges run back along the order, so the part is acyclic; each bin
+        # after the first has one edge that keeps the part connected.  A
+        # part whose bins feed no Ruma has only the empty board.
+        order, rest = rest[:size], rest[size:]
+        if rng.random() < 0.9:
+            edges.add((order[0], rng.choice(ruma)))
+        for j in range(1, size):
+            edges.add((order[j], order[rng.randrange(j)]))
+            edges.update((order[j], order[i]) for i in range(j) if rng.random() < 0.5)
+            edges.update((order[j], r) for r in ruma if rng.random() < 0.5)
+        parts.append(tuple(sorted(order)))
+    return SowingGraph(len(ids), frozenset(edges), frozenset(ruma)), parts
+
+
+def test_random_factoring_graphs(monkeypatch):
+    # Each part is searched once per board of its own game, walks starting
+    # only on its bins; a search of the whole board would start on every
+    # bin, once per board of the product.  The parts of one bin are
+    # searched together, and with fewer than two bins feeding a Ruma the
+    # whole board is the one part.
+    searched = []
+
+    def counted(labels, starts, *rest):
+        searched.append(starts)
+        return legal_unplays(labels, starts, *rest)
+
+    legal_unplays = graph_module._legal_unplays
+    monkeypatch.setattr(graph_module, "_legal_unplays", counted)
+    products = refusals = fewer = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        graph, parts = factoring_graph(rng)
+        singles = tuple(sorted(v for part in parts if len(part) == 1 for v in part))
+        parts = [part for part in parts if len(part) > 1] + [singles] * bool(singles)
+        if len(parts) < 2 or len({a for a, b in graph.edges if b in graph.ruma}) < 2:
+            parts = [graph.bins]
+        cap = rng.choice((40, 2000))
+        searched.clear()
+        try:
+            game = engine(graph, cap)
+        except RuntimeError as exc:
+            assert exports(graph, ORACLE, cap) == ("RuntimeError", str(exc)), f"seed {seed}"
+            assert set(searched) <= set(parts), f"seed {seed}"
+            refusals += 1
+            continue
+        assert (game_graph_to_json(graph, game), game_graph_to_dot(graph, game)) == exports(graph, ORACLE, cap)
+        assert game == enumerate_by_replay(graph, cap), f"seed {seed}"
+        assert pickle.loads(pickle.dumps(game)) == game
+        part_boards = [{tuple(board.labels[v] for v in part) for board in game.boards} for part in parts]
+        assert len(game.boards) == math.prod(map(len, part_boards)), f"seed {seed}"
+        assert set(searched) == set(parts), f"seed {seed}"
+        assert len(searched) == sum(map(len, part_boards)), f"seed {seed}"
+        products += 1
+        fewer += len(searched) < len(game.boards)
+    assert products >= 25 and refusals >= 10 and fewer >= 20
 
 
 @pytest.mark.parametrize("length,limit", [(3, 30), (4, 50), (5, 80), (6, 100), (2, 12)])
