@@ -14,7 +14,7 @@ runs dry when unplaying.
 from __future__ import annotations
 
 import functools
-from itertools import chain, groupby
+from itertools import chain
 from operator import add, itemgetter, sub
 
 from .checked import DEFAULT_BOARD_CAP, MAX_VERTICES, MAX_WALK_STEPS, _Frozen, as_uint
@@ -297,9 +297,15 @@ def _cycles(graph: SowingGraph) -> tuple[tuple[int, int] | None, list[bool]]:
 def has_finite_game_graph(graph: SowingGraph) -> tuple[bool, tuple[int, int] | None]:
     """Decide whether the graph has finitely many winning boards.
 
-    Infinite exactly when some strongly connected component holds both a
-    Ruma and a non-Ruma vertex (two co-reachable vertices always share a
-    directed cycle).  The witness is such a pair, or None when finite.
+    The rule applied: the game is called infinite when some strongly
+    connected component holds both a Ruma and a non-Ruma vertex (two
+    co-reachable vertices share a directed cycle, which unplay walks can
+    wrap again and again).  The witness is such a pair, or None when the
+    game is called finite.  The rule calls some infinite games finite: in
+    ``SowingGraph(2, {(1, 0), (0, 0)}, {0})`` the bin feeds a Ruma with a
+    self-loop, so every walk 1, 0, 0, ..., 0 is a legal unplay and the
+    game is infinite, yet no component holds both kinds of vertex (see
+    the finiteness item of ROADMAP.md).
     """
     witness, _ = _cycles(graph)
     return witness is None, witness
@@ -318,43 +324,62 @@ def _cap_refusal(cap: int) -> RuntimeError:
 def _legal_unplays(
     labels: list[int],
     starts: tuple[int, ...],
+    is_start: list[bool],
     on_cycle: list[bool],
-    successors: list[tuple[int, ...]],
+    predecessors: list[list[int]],
     is_ruma: list[bool],
+    rumas: frozenset[int],
     max_length: int,
     budget: int,
 ) -> tuple[list[tuple], int]:
-    # Every legal unplay on the board *labels*, walks of at most
-    # max_length edges, as sorted (v, r, path, grown labels) tuples, and
-    # the step budget left.  Depth-first over the walks from each start:
-    # a walk steps on a bin only while that bin has a stone left to pick
-    # up, Rumas never block, and a walk ending on a Ruma with v's own
-    # label used up is legal.  *labels* is restored on return.
-    found: list[tuple] = []
+    # Every legal unplay on the board *labels* from a vertex of *starts*
+    # (is_start marks them), walks of at most max_length edges, as sorted
+    # (v, r, path, grown labels) tuples, and the step budget left.
+    # Depth-first backward from each Ruma over the predecessor lists, so
+    # only walks that end on a Ruma are explored: a step onto a Ruma is
+    # free, a step onto a bin takes one of its stones, and a step onto an
+    # empty start records the walk from it.  A start holding stones is
+    # recorded only once its own visits on the walk have used them up,
+    # which needs a cycle through it.  *labels* is restored on return.
+    # When every start holds stones and lies on no cycle, none can be
+    # refilled, and the walks back from the Rumas would all be in vain.
     for v in starts:
-        if labels[v] and not on_cycle[v]:
-            continue
-        path = [v]
-        pending = [iter(successors[v])]
+        if not labels[v] or on_cycle[v]:
+            break
+    else:
+        return [], budget
+    found: list[tuple] = []
+    for r in rumas:
+        # The walk reversed: path[0] is the Ruma it ends on.
+        path = [r]
+        pending = [iter(predecessors[r])]
         while pending:
             for w in pending[-1]:
                 if is_ruma[w]:
-                    path.append(w)
-                    if not labels[v]:
-                        labels[v] = len(path) - 1
-                        found.append((v, w, tuple(path), tuple(labels)))
-                        labels[v] = 0
-                        budget -= len(path) + len(labels)
+                    pass
                 elif labels[w]:
+                    # A bin holding stones is passed through, so the
+                    # walk must go on back past it.
+                    if not predecessors[w]:
+                        continue
                     labels[w] -= 1
-                    path.append(w)
+                elif is_start[w]:
+                    walk = (w, *reversed(path))
+                    labels[w] = len(path)
+                    found.append((w, r, walk, tuple(labels)))
+                    labels[w] = 0
+                    budget -= 1 + len(walk) + len(labels)
+                    if budget < 0:
+                        raise _budget_refusal()
+                    continue
                 else:
                     continue
                 budget -= 1
                 if budget < 0:
                     raise _budget_refusal()
+                path.append(w)
                 if len(path) <= max_length:
-                    pending.append(iter(successors[w]))
+                    pending.append(iter(predecessors[w]))
                     break
                 path.pop()
                 if not is_ruma[w]:
@@ -368,7 +393,7 @@ def _legal_unplays(
     return found, budget
 
 
-def _parts(graph: SowingGraph, successors: list[tuple[int, ...]], on_cycle: list[bool]) -> list[tuple[int, ...]]:
+def _parts(graph: SowingGraph, on_cycle: list[bool]) -> list[tuple[int, ...]]:
     # The bins of each independent part of the game, in id order.  When no
     # Ruma has an out-edge and no vertex lies on a cycle, a walk ends on
     # the first Ruma it reaches and never leaves its start's weakly
@@ -379,7 +404,7 @@ def _parts(graph: SowingGraph, successors: list[tuple[int, ...]], on_cycle: list
     # components of a single bin are searched together, as one part: each
     # has at most two boards, and searching it costs about what the
     # product pass spends on a board.
-    if any(on_cycle) or any(successors[r] for r in graph.ruma):
+    if any(on_cycle) or any(graph.successors[r] for r in graph.ruma):
         return [graph.bins]
     if len({a for a, b in graph.edges if b in graph.ruma}) < 2:
         return [graph.bins]
@@ -410,8 +435,9 @@ def _part_game(
     finite: bool,
     cap: int,
     on_cycle: list[bool],
-    successors: list[tuple[int, ...]],
+    predecessors: list[list[int]],
     is_ruma: list[bool],
+    rumas: frozenset[int],
     budget: int,
     walks: dict[tuple[int, ...], tuple[Move]],
 ) -> tuple[list[tuple[int, ...]], list[tuple], int]:
@@ -422,6 +448,9 @@ def _part_game(
     # *walks* holds the one (move,) of each distinct walk, shared by every
     # edge that uses it.
     n = len(is_ruma)
+    is_start = [False] * n
+    for v in starts:
+        is_start[v] = True
     # Ruma labels stay 0, since unplaying only ever takes captured stones back.
     keys = [(0,) * n]
     index = {keys[0]: 0}
@@ -432,7 +461,9 @@ def _part_game(
         # Any longer walk would wrap a stone-free cycle, which a
         # criterion-finite graph does not offer along unplay walks.
         limit = (sum(labels) + 1) * (n + 1) if finite else cap * n
-        found, budget = _legal_unplays(labels, starts, on_cycle, successors, is_ruma, limit, budget)
+        found, budget = _legal_unplays(
+            labels, starts, is_start, on_cycle, predecessors, is_ruma, rumas, limit, budget
+        )
         for v, r, path, key in found:
             grown = index.get(key)
             if grown is None:
@@ -513,11 +544,15 @@ def enumerate_winning_boards(graph: SowingGraph, cap: int = DEFAULT_BOARD_CAP) -
     walk lengths capped at cap * vertex_count.  Either case raises
     RuntimeError when the walk search passes its step budget.
 
-    When no Ruma has an out-edge and no vertex lies on a cycle, each
-    weakly connected component of the bins (a spoke of a star) plays its
-    own game, and the game is their product: each part is searched once
-    and the product is built from the parts' moves, with the boards and
-    edges in the order a search of the whole board gives.
+    A board's unplays are found by walking back from each Ruma over the
+    graph's predecessor lists, built once per call, so the search extends
+    only walks that end on a Ruma: a path board costs its walk back to
+    the first empty bin.  When no Ruma has an out-edge and no vertex lies
+    on a cycle, each weakly connected component of the bins (a spoke of a
+    star) plays its own game, and the game is their product: each part is
+    searched once and the product is built from the parts' moves, with
+    the boards and edges in the order a search of the whole board gives.
+    The edges are gathered in one bucket per source board.
     """
     if as_uint(cap, "board cap") < 1:
         raise ValueError("cap must be >= 1")
@@ -526,27 +561,42 @@ def enumerate_winning_boards(graph: SowingGraph, cap: int = DEFAULT_BOARD_CAP) -
     finite = witness is None
     n = graph.vertex_count
     is_ruma = [v in graph.ruma for v in range(n)]
-    successors = [graph.successors[v] for v in range(n)]
-    parts = _parts(graph, successors, on_cycle)
+    predecessors: list[list[int]] = [[] for _ in range(n)]
+    for v, w in graph.edges:
+        predecessors[w].append(v)
+    parts = _parts(graph, on_cycle)
     walks: dict[tuple[int, ...], tuple[Move]] = {}
     budget = MAX_WALK_STEPS
     games = []
     for starts in parts:
-        keys, sows, budget = _part_game(starts, finite, cap, on_cycle, successors, is_ruma, budget, walks)
+        keys, sows, budget = _part_game(
+            starts, finite, cap, on_cycle, predecessors, is_ruma, graph.ruma, budget, walks
+        )
         games.append((keys, sows))
     if len(games) == 1:
         keys, sows = games[0]
     else:
         keys, sows = _product_game(games, cap, budget)
-    # Targets were expanded in index order and each board's moves found in
-    # (v, r, path) order, so a stable sort by source orders the edges.
-    sows.sort(key=itemgetter(0))
-    # A one-move edge keeps its walk's shared (move,).
-    third = itemgetter(2)
+    # One bucket of (target, (move,)) per source board.  Targets were
+    # expanded in index order and each board's moves found in (v, r, path)
+    # order, so a bucket holds its edges in order and each edge's walks
+    # side by side.  A one-move edge keeps its walk's shared (move,); the
+    # walks of a longer edge are gathered by the edge's index and joined.
+    buckets: list[list[tuple]] = [[] for _ in keys]
+    for source, target, walk in sows:
+        buckets[source].append((target, walk))
     edges = []
-    for (source, target), group in groupby(sows, itemgetter(0, 1)):
-        moves = list(map(third, group))
-        edges.append(GameEdge(source, target, moves[0] if len(moves) == 1 else tuple(chain.from_iterable(moves))))
+    merged: dict[int, list[tuple[Move]]] = {}
+    for source, bucket in enumerate(buckets):
+        last = -1
+        for target, walk in bucket:
+            if target != last:
+                edges.append(GameEdge(source, target, walk))
+                last = target
+            else:
+                merged.setdefault(len(edges) - 1, [edges[-1].moves]).append(walk)
+    for i, walks_of_edge in merged.items():
+        edges[i] = GameEdge(edges[i].source, edges[i].target, tuple(chain.from_iterable(walks_of_edge)))
     return GameGraph(tuple(map(GraphBoard._trusted, keys)), tuple(edges), truncated=not finite)
 
 

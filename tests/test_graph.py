@@ -356,6 +356,31 @@ class TestBudgets:
         assert len(searched) == 4 * min_stones(6) == 48
         assert sorted(set(searched)) == [tuple(range(1 + 5 * s, 6 + 5 * s)) for s in range(4)]
 
+    @pytest.mark.parametrize(
+        "graph,cap,steps",
+        [(make_path(16), 10_000, 2_418), (make_star(3, 1), 10_000, 84), (make_cycle(5), 30, 766)],
+    )
+    def test_walk_steps(self, monkeypatch, graph, cap, steps):
+        # steps counted by the walk budget, a measure of the search's work
+        # that does not depend on machine load; the search walks back from
+        # the Ruma, so on a path or a star of one-bin spokes every step
+        # lies on a recorded walk
+        left = []
+
+        def counted(*args):
+            keys, sows, budget = part_game(*args)
+            left.append(budget)
+            return keys, sows, budget
+
+        part_game = graph_module._part_game
+        monkeypatch.setattr(graph_module, "_part_game", counted)
+        game = enumerate_winning_boards(graph, cap=cap)
+        assert [graph_module.MAX_WALK_STEPS - budget for budget in left] == [steps]
+        if not game.truncated:
+            # each recorded walk: a step per edge, then its path and labels copied
+            walked = sum(2 * len(m.path) - 1 + graph.vertex_count for edge in game.edges for m in edge.moves)
+            assert walked == steps
+
     def test_walk_budget_counts_product_moves(self):
         # the first 2^20 boards of 20 two-bin spokes hold about 20M moves;
         # each costs one step per spoke, so the search is refused, as a
