@@ -48,9 +48,10 @@ MAX_WALK_STEPS = 1 << 22        # walk steps, counted, RuntimeError: graph.enume
 # - CONDITIONS_CAP: ~3.4 conditions per index: 441,212 pairs, 37 MB, 1 s.
 # - MAX_SEARCH_NODES: counted from the last completion yielded (or the
 #   start), so reconstruct_minimal's completion cap stays exact.  The
-#   search runs 0.4M-0.8M nodes/s, so a refusal takes 1.3-2.6 s; the
-#   largest gap between completions in the tests and the benchmark's
-#   reconstruct workload is under 500 nodes.
+#   search runs 0.7M-0.9M nodes/s, so a refusal takes 1.1-1.5 s
+#   (reconstruct({16: 3, 34: 10}), CPython 3.11, 2-core VM); the largest
+#   gap between completions in the tests and the benchmark's reconstruct
+#   workload is under 500 nodes.
 # - FACTORING_CAP: at most sqrt(i) = 4,096 trial divisions.
 # - MAX_VERTICES: a few lists per vertex, and a label per vertex per board
 #   in the game search; the finiteness check takes about 0.3 s and 35 MB

@@ -12,7 +12,13 @@ congruences for j <= i can be solved, so one search serves every
 reconstruction: it assigns bins in increasing index order, carries the
 solution of the congruences so far, and offers each bin only the counts
 that keep them solvable.  Every congruence, in the search and in
-:func:`crt_solve`, is folded in by the same merge step.
+:func:`crt_solve`, is folded in by the same merge step, in two parts: one
+that depends on the moduli alone (a gcd, a modular inverse and the
+checked period) and one line that folds in the value.  The search's
+running modulus at index i is lcm(2..i-1) on every branch, so it makes
+the first part once per index, and a node costs one multiply-add.  The
+reconstructions solve each completion the search yields from the prefix
+it shares with the completion before.
 """
 
 from __future__ import annotations
@@ -267,16 +273,27 @@ def _violating_pair(system: list[Congruence]) -> tuple[Congruence, Congruence]:
     return system[p], system[q]
 
 
-def _merge(residue: int, modulus: int, value: int, i: int) -> tuple[int, int] | None:
-    # Fold n = value (mod i) into n = residue (mod modulus): the merged
-    # (residue, period), or None when the two clash modulo their gcd.
+def _step(modulus: int, i: int) -> tuple[int, int, int, int]:
+    # The part of folding n = value (mod i) into n = residue (mod modulus)
+    # that depends on the moduli alone: g = gcd(modulus, i), step = i / g,
+    # the inverse of modulus / g modulo step, and the merged period, which
+    # must stay within 128 bits.  The part that depends on the values is one
+    # line, in _merge and in the search: for residue in [0, modulus) and
+    # value = residue (mod g), the merged residue is
+    # residue + modulus * ((value - residue) / g * inverse % step).
     g = math.gcd(modulus, i)
-    if (value - residue) % g:
-        return None
-    lcm = as_uint(modulus // g * i, "congruence system period")
     step = i // g
-    t = (value - residue) // g * pow(modulus // g, -1, step) % step
-    return (residue + modulus * t) % lcm, lcm
+    return g, step, pow(modulus // g, -1, step), as_uint(modulus * step, "congruence system period")
+
+
+def _merge(residue: int, modulus: int, value: int, i: int) -> tuple[int, int] | None:
+    # The merged (residue, period), or None when the two congruences clash
+    # modulo their gcd.  The clash is tested first, so it is reported even
+    # where the period would pass 128 bits.
+    if (value - residue) % math.gcd(modulus, i):
+        return None
+    g, step, inverse, period = _step(modulus, i)
+    return residue + modulus * ((value - residue) // g * inverse % step), period
 
 
 def crt_solve(system: Iterable[Congruence]) -> tuple[int, int]:
@@ -379,14 +396,17 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
     order is deterministic.  Each node carries the prefix total and the
     solution n = residue (mod lcm(2..i-1)) of the congruences so far;
     index i may take exactly the counts c with total + c = residue modulo
-    gcd(lcm(2..i-1), i), which by the allowable-realizable theorem are
+    g = gcd(lcm(2..i-1), i), which by the allowable-realizable theorem are
     exactly the counts whose window conditions hold.  A constrained index
-    keeps its count only if it is among them.  Yields nothing when the
-    constraint is infeasible, and raises OverflowError on reaching index
-    89, where lcm(2..89) leaves the 128-bit range.  A branch that clashes
-    only at a late constrained index can backtrack through exponentially
-    many prefixes, so the search raises RuntimeError once it visits more
-    than MAX_SEARCH_NODES nodes before its next completion.
+    keeps its count only if it is among them.  The modulus at index i is
+    the same on every branch, so g, the inverse that folds a count in and
+    the next period are made once per index, on first reaching it; a node
+    then folds in each count with one multiply-add.  Yields nothing when
+    the constraint is infeasible, and raises OverflowError on reaching
+    index 89, where lcm(2..89) leaves the 128-bit range.  A branch that
+    clashes only at a late constrained index can backtrack through
+    exponentially many prefixes, so the search raises RuntimeError once it
+    visits more than MAX_SEARCH_NODES nodes before its next completion.
 
     A window the constraint pins whole is checked first: the search
     notices a broken one only at its last index, after trying every
@@ -402,6 +422,7 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
                     return
     top = pc.max_index
     values: list[int] = []
+    steps: list[tuple[int, int, int, int]] = []  # steps[i - 2]: _step(lcm(2..i-1), i)
     nodes = 0
 
     def extend(i: int, total: int, residue: int, modulus: int) -> Iterator[tuple[int, ...]]:
@@ -413,25 +434,41 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
         nodes += 1
         if nodes > MAX_SEARCH_NODES:
             raise RuntimeError(f"the completion search exceeded its budget of {MAX_SEARCH_NODES} nodes")
-        g = math.gcd(modulus, i)
+        if len(steps) < i - 1:
+            steps.append(_step(modulus, i))
+        g, step, inverse, period = steps[i - 2]
         choices = range((residue - total) % g, i, g)
         if i in fixed:
             choices = (fixed[i],) if fixed[i] in choices else ()
         for count in choices:
             values.append(count)
-            yield from extend(i + 1, total + count, *_merge(residue, modulus, total + count, i))
+            t = (total + count - residue) // g * inverse % step
+            yield from extend(i + 1, total + count, residue + modulus * t, period)
             values.pop()
 
     yield from extend(2, 0, 0, 1)
 
 
-def _solve_completion(completion: tuple[int, ...]) -> tuple[int, int]:
-    # Fold n = m_2 + ... + m_j (mod j) over j; returns (minimal solution, period).
-    residue, modulus, total = 0, 1, 0
-    for i, count in enumerate(completion, 2):
-        total += count
-        residue, modulus = _merge(residue, modulus, total, i)
-    return residue, modulus
+def _solve_completions(completions: Iterable[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    # Each completion with (minimal solution, period) of its congruences
+    # n = m_2 + ... + m_j (mod j).  Completions in search order share all
+    # but their last few counts, so the fold of each prefix is kept on a
+    # stack, and a completion is folded only from the first index where it
+    # differs from the one before.
+    previous: tuple[int, ...] = ()
+    folded = [(0, 1, 0)]  # folded[j]: (residue, period, total) over the first j counts
+    for completion in completions:
+        j = min(len(completion), len(previous))
+        while completion[:j] != previous[:j]:
+            j -= 1
+        del folded[j + 1 :]
+        residue, modulus, total = folded[-1]
+        for i, count in enumerate(completion[j:], j + 2):
+            total += count
+            residue, modulus = _merge(residue, modulus, total, i)
+            folded.append((residue, modulus, total))
+        previous = completion
+        yield completion, residue, modulus
 
 
 def reconstruct(pc: PartialConstraint) -> tuple[int, Board]:
@@ -440,8 +477,7 @@ def reconstruct(pc: PartialConstraint) -> tuple[int, Board]:
     The result is minimal for that completion's congruence system, not
     necessarily over all completions; see :func:`reconstruct_minimal`.
     """
-    for completion in complete_constraints(pc):
-        n, _ = _solve_completion(completion)
+    for _, n, _ in _solve_completions(complete_constraints(pc)):
         return n, board_from_stones(n)
     raise Infeasible(f"no allowable completion extends {pc.as_dict()}", witness=pc)
 
@@ -459,13 +495,15 @@ def reconstruct_minimal(pc: PartialConstraint, cap: int = COMPLETION_CAP) -> tup
     the lcm periodicity of agreement, per-completion minimal solutions
     suffice.  The one class member too short to contain the top bin is
     the board equal to the completion itself, recognizable by its stone
-    total.  Raises if more than *cap* completions exist.
+    total.  Raises RuntimeError if more than *cap* completions exist;
+    *cap* must be an integer in the 128-bit range, checked before the
+    search.
     """
+    as_uint(cap, "completion cap")
     best_n: int | None = None
-    for count, completion in enumerate(complete_constraints(pc), 1):
+    for count, (completion, n, period) in enumerate(_solve_completions(complete_constraints(pc)), 1):
         if count > cap:
             raise RuntimeError(f"completion cap {cap} exceeded for {pc.as_dict()}")
-        n, period = _solve_completion(completion)
         if completion[-1:] == (0,) and n == sum(completion):
             n += period
         if best_n is None or n < best_n:

@@ -71,4 +71,12 @@ def test_traced_reference_pass_reports_every_per_layer_metric(tmp_path):
     env = workloads.Env(sys.executable, child_env, str(tmp_path))
     tracer = tracing.Tracer()
     tracer.run_pass(LIB, workloads.reference(LIB, env), lambda index, op, call: op.check(call()))
-    assert expected - set(tracer.metrics()) == set()
+    metrics = tracer.metrics()
+    assert expected - set(metrics) == set()
+    # The tracer counts and times the crt search by replacing
+    # crt.complete_constraints, so the reconstructions must reach the search
+    # through that attribute.  The reference ops run two minimal queries:
+    # {9: 2} in the library and {3: 1, 7: 2} through the CLI.
+    minimal = [crt.PartialConstraint({9: 2}), crt.PartialConstraint({3: 1, 7: 2})]
+    assert metrics["crt.completions"][0] == sum(len(list(crt.complete_constraints(pc))) for pc in minimal)
+    assert metrics["crt.search_p50_ms"][0] > 0

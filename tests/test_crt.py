@@ -473,6 +473,29 @@ class TestReconstructMinimal:
         with pytest.raises(RuntimeError):
             reconstruct_minimal(PartialConstraint({12: 0}), cap=3)
 
+    @pytest.mark.parametrize(
+        "cap, error",
+        [(True, ValueError), (2.5, ValueError), (-1, ValueError), ("3", ValueError), (None, ValueError),
+         (2**128, OverflowError), (0, RuntimeError)],
+        ids=["bool", "float", "negative", "str", "None", "2**128", "zero"],
+    )
+    def test_completion_cap_is_checked_before_the_search(self, monkeypatch, cap, error):
+        # A cap outside the contract is refused before the first completion
+        # is drawn; cap 0 is refused once the first one is.
+        drawn = 0
+        search = crt_module.complete_constraints
+
+        def counted(pc):
+            nonlocal drawn
+            for completion in search(pc):
+                drawn += 1
+                yield completion
+
+        monkeypatch.setattr(crt_module, "complete_constraints", counted)
+        with pytest.raises(error, match="completion cap"):
+            reconstruct_minimal(PartialConstraint({5: 1}), cap=cap)
+        assert drawn == (1 if error is RuntimeError else 0)
+
 
 class TestPinnedPrefix:
     # every bin m_2..m_30 is constrained, so the search has one completion

@@ -29,7 +29,7 @@ from tchoukaillon import (
     reconstruct,
     reconstruct_minimal,
 )
-from tchoukaillon.crt import _solve_completion, prime_power_divisors
+from tchoukaillon.crt import _merge, _solve_completions, _step, prime_power_divisors
 
 PRIMES = [p for p in range(2, 32) if all(p % q for q in range(2, p))]
 
@@ -46,6 +46,8 @@ def outcome(fn, *args, **kwargs):
 def assert_same(pc: PartialConstraint) -> list[tuple[int, ...]]:
     completions = list(complete_constraints(pc))
     assert completions == list(oracle.complete_by_windows(pc)), pc
+    solved = [(c, *oracle.solve_completion(c)) for c in completions]
+    assert list(_solve_completions(completions)) == solved, pc
     assert outcome(reconstruct, pc) == outcome(oracle.reconstruct, pc), pc
     assert outcome(reconstruct_minimal, pc) == outcome(oracle.reconstruct_minimal, pc), pc
     return completions
@@ -148,10 +150,38 @@ def test_completion_cap_at_top_twelve():
 
 @pytest.mark.parametrize(
     "entries",
-    [{5: 1, 6: 2}, {6: 0, 7: 1, 8: 1, 10: 0}, {6: 0, 7: 1, 8: 1, 10: 1}, {11: 3, 12: 0}, {3: 1, 7: 2, 9: 3}],
+    [{5: 1, 6: 2}, {6: 0, 7: 1, 8: 1, 10: 0}, {6: 0, 7: 1, 8: 1, 10: 1}, {11: 3, 12: 0}, {3: 1, 7: 2, 9: 3}, {11: 3}],
 )
 def test_named_cases(entries):
     assert_same(PartialConstraint(entries))
+
+
+def test_merge_step_at_every_index():
+    # The search makes _step(lcm(2..i-1), i) once per index and folds every
+    # count in with it; each fold must be the merge, and the period carried
+    # to the next index lcm(2..i).
+    rng = random.Random(8889)
+    modulus = 1
+    for i in range(2, 89):
+        g, step, inverse, period = _step(modulus, i)
+        assert (g, period) == (math.gcd(modulus, i), math.lcm(*range(2, i + 1))), i
+        for _ in range(20):
+            residue = rng.randrange(modulus)
+            value = rng.randrange(i * i)
+            value += (residue - value) % g  # solvable: value = residue (mod g)
+            folded = residue + modulus * ((value - residue) // g * inverse % step), period
+            assert folded == _merge(residue, modulus, value, i), (i, residue, value)
+            system = [Congruence(residue, modulus), Congruence(value % i, i)]
+            assert folded == oracle.crt_solve_pairwise(system), (i, residue, value)
+        modulus = period
+    refusals = []
+    for refuse in (lambda: _step(modulus, 89), lambda: _merge(0, modulus, 0, 89),
+                   lambda: oracle.crt_solve_pairwise([Congruence(0, modulus), Congruence(0, 89)])):
+        with pytest.raises(OverflowError) as refused:
+            refuse()
+        refusals.append(str(refused.value))
+    assert refusals[0].startswith("congruence system period exceeds the 128-bit limit")
+    assert refusals == refusals[:1] * 3
 
 
 def test_prime_constraints_up_to_23_full_answers():
@@ -173,7 +203,7 @@ def test_prime_constraints_up_to_31_completions():
         greedy = oracle.greedy_prime_completion(pc)
         assert greedy is not None, pc  # the greedy fill never needs its fallback
         assert next(complete_constraints(pc)) == greedy, pc
-        assert _solve_completion(greedy) == oracle.solve_completion(greedy)
+        assert next(_solve_completions([greedy])) == (greedy, *oracle.solve_completion(greedy))
 
 
 @pytest.mark.parametrize("entries", [{}, {4: 1}, {9: 0}, {2: 1, 4: 0}])
@@ -220,6 +250,9 @@ def test_crt_solve_period_refusal_matches():
         # The first clash, (0 mod 3, 1 mod 3), is not at index 0, so 0 mod 3^80
         # is probed against 0 mod 4, with which its period passes 128 bits.
         [Congruence(0, 4), Congruence(0, 3), Congruence(1, 3), Congruence(0, 3**80)],
+        # The clash (mod 3) and a period past 128 bits come at the same
+        # merge: the clash is named.
+        [Congruence(0, 3 * 2**70), Congruence(1, 3**80)],
     ]:
         assert solved(crt_solve, system) == solved(oracle.crt_solve_pairwise, system), system
 
