@@ -170,6 +170,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_nf(args: argparse.Namespace) -> int:
     if args.sequence is not None and args.length is not None:
         raise ValueError("give either a single length or --sequence, not both")
+    if args.sequence is not None and args.bounds:
+        raise ValueError("--bounds applies to a single length, not to --sequence")
     if args.sequence is not None:
         values = _lib.min_stones_sequence(args.sequence)
         _emit(args.format, lambda: values, [values])

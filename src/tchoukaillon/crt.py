@@ -18,14 +18,16 @@ checked period) and one line that folds in the value.  The search's
 running modulus at index i is lcm(2..i-1) on every branch, so it makes
 the first part once per index, and a node costs one multiply-add.  The
 reconstructions solve each completion the search yields from the prefix
-it shares with the completion before.
+it shares with the completion before, with a table of the same first
+parts, so a fold there is one multiply-add too.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import accumulate
+from itertools import accumulate, compress
+from operator import ne
 
 from .checked import COMPLETION_CAP, CONDITIONS_CAP, FACTORING_CAP, MAX_BOARD_BINS, MAX_PERIOD_INDEX
 from .checked import MAX_SEARCH_NODES, _Frozen, as_uint
@@ -273,15 +275,14 @@ def _violating_pair(system: list[Congruence]) -> tuple[Congruence, Congruence]:
     return system[p], system[q]
 
 
-def _step(modulus: int, i: int) -> tuple[int, int, int, int]:
+def _step(modulus: int, i: int, g: int) -> tuple[int, int, int, int]:
     # The part of folding n = value (mod i) into n = residue (mod modulus)
-    # that depends on the moduli alone: g = gcd(modulus, i), step = i / g,
-    # the inverse of modulus / g modulo step, and the merged period, which
-    # must stay within 128 bits.  The part that depends on the values is one
-    # line, in _merge and in the search: for residue in [0, modulus) and
-    # value = residue (mod g), the merged residue is
+    # that depends on the moduli alone, given g = gcd(modulus, i): g,
+    # step = i / g, the inverse of modulus / g modulo step, and the merged
+    # period, which must stay within 128 bits.  The part that depends on the
+    # values is one line, in _merge, the search and the solver: for residue
+    # in [0, modulus) and value = residue (mod g), the merged residue is
     # residue + modulus * ((value - residue) / g * inverse % step).
-    g = math.gcd(modulus, i)
     step = i // g
     return g, step, pow(modulus // g, -1, step), as_uint(modulus * step, "congruence system period")
 
@@ -290,9 +291,10 @@ def _merge(residue: int, modulus: int, value: int, i: int) -> tuple[int, int] | 
     # The merged (residue, period), or None when the two congruences clash
     # modulo their gcd.  The clash is tested first, so it is reported even
     # where the period would pass 128 bits.
-    if (value - residue) % math.gcd(modulus, i):
+    g = math.gcd(modulus, i)
+    if (value - residue) % g:
         return None
-    g, step, inverse, period = _step(modulus, i)
+    _, step, inverse, period = _step(modulus, i, g)
     return residue + modulus * ((value - residue) // g * inverse % step), period
 
 
@@ -401,7 +403,8 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
     keeps its count only if it is among them.  The modulus at index i is
     the same on every branch, so g, the inverse that folds a count in and
     the next period are made once per index, on first reaching it; a node
-    then folds in each count with one multiply-add.  Yields nothing when
+    then folds in each count with one multiply-add, and a node at the top
+    index yields its completions itself.  Yields nothing when
     the constraint is infeasible, and raises OverflowError on reaching
     index 89, where lcm(2..89) leaves the 128-bit range.  A branch that
     clashes only at a late constrained index can backtrack through
@@ -421,25 +424,31 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
                 if all(j in fixed for j in window) and sum(fixed[j] for j in window) % d:
                     return
     top = pc.max_index
+    if not top:
+        yield ()
+        return
     values: list[int] = []
-    steps: list[tuple[int, int, int, int]] = []  # steps[i - 2]: _step(lcm(2..i-1), i)
+    steps: list[tuple[int, int, int, int]] = []  # steps[i - 2]: the step of lcm(2..i-1) and i
     nodes = 0
 
     def extend(i: int, total: int, residue: int, modulus: int) -> Iterator[tuple[int, ...]]:
         nonlocal nodes
-        if i > top:
-            nodes = 0
-            yield tuple(values)
-            return
         nodes += 1
         if nodes > MAX_SEARCH_NODES:
             raise RuntimeError(f"the completion search exceeded its budget of {MAX_SEARCH_NODES} nodes")
         if len(steps) < i - 1:
-            steps.append(_step(modulus, i))
+            steps.append(_step(modulus, i, math.gcd(modulus, i)))
         g, step, inverse, period = steps[i - 2]
         choices = range((residue - total) % g, i, g)
         if i in fixed:
             choices = (fixed[i],) if fixed[i] in choices else ()
+        if i == top:
+            for count in choices:
+                values.append(count)
+                nodes = 0
+                yield tuple(values)
+                values.pop()
+            return
         for count in choices:
             values.append(count)
             t = (total + count - residue) // g * inverse % step
@@ -449,23 +458,39 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
     yield from extend(2, 0, 0, 1)
 
 
+def _steps(top: int) -> list[tuple[int, int, int, int]]:
+    # The step of each index i = 2..top over the modulus lcm(2..i-1).
+    steps, modulus = [], 1
+    for i in range(2, top + 1):
+        steps.append(_step(modulus, i, math.gcd(modulus, i)))
+        modulus = steps[-1][3]
+    return steps
+
+
 def _solve_completions(completions: Iterable[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], int, int]]:
     # Each completion with (minimal solution, period) of its congruences
     # n = m_2 + ... + m_j (mod j).  Completions in search order share all
     # but their last few counts, so the fold of each prefix is kept on a
     # stack, and a completion is folded only from the first index where it
-    # differs from the one before.
+    # differs from the one before, found by one C-level scan.  As in the
+    # search, the modulus before index i is lcm(2..i-1) on every completion,
+    # so the steps of all indices are made once, for the first completion,
+    # and a fold is one multiply-add.  The completions are allowable, so
+    # every fold is solvable.
     previous: tuple[int, ...] = ()
+    steps: list[tuple[int, int, int, int]] = []  # steps[j]: the step of index j + 2
     folded = [(0, 1, 0)]  # folded[j]: (residue, period, total) over the first j counts
     for completion in completions:
-        j = min(len(completion), len(previous))
-        while completion[:j] != previous[:j]:
-            j -= 1
+        shared = min(len(completion), len(previous))
+        j = next(compress(range(shared), map(ne, completion, previous)), shared)
         del folded[j + 1 :]
         residue, modulus, total = folded[-1]
-        for i, count in enumerate(completion[j:], j + 2):
-            total += count
-            residue, modulus = _merge(residue, modulus, total, i)
+        if len(steps) < len(completion):
+            steps = _steps(len(completion) + 1)
+        for (g, step, inverse, period), value in zip(steps[j:], completion[j:]):
+            total += value
+            residue += modulus * ((total - residue) // g * inverse % step)
+            modulus = period
             folded.append((residue, modulus, total))
         previous = completion
         yield completion, residue, modulus

@@ -221,6 +221,15 @@ class TestNfCommand:
     def test_requires_an_argument(self, capsys):
         assert run(capsys, "nf")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(("5", "--sequence", "5"), "give either a single length or --sequence, not both"),
+         (("--sequence", "5", "--bounds"), "--bounds applies to a single length, not to --sequence")],
+        ids=["length", "bounds"],
+    )
+    def test_sequence_refuses_a_single_length_option(self, capsys, argv, message):
+        assert run(capsys, "nf", *argv) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("extra", [(), ("--bounds",)])
     def test_beyond_length_budget_is_usage_error(self, capsys, extra):
         code, out, err = run(capsys, "nf", "1000000000000", *extra)

@@ -396,6 +396,25 @@ class TestSearchNodeBudget:
         with pytest.raises(RuntimeError, match="completion cap 2519 exceeded"):
             reconstruct_minimal(pc, cap=2519)
 
+    # The smallest budget each search runs to its end with: the most nodes
+    # it visits before its first completion, between two, or after its
+    # last.  They are fixed figures, so a change to what the search counts
+    # as a node shows here.  The last constraint is infeasible, so its
+    # search yields nothing and counts every node it visits.
+    @pytest.mark.parametrize(
+        "entries, budget",
+        [({12: 0}, 25), ({11: 3}, 10), ({9: 5, 6: 2}, 30), ({6: 0, 7: 1, 8: 1, 10: 1}, 56),
+         ({6: 0, 7: 1, 8: 1, 10: 0}, 113)],
+    )
+    def test_budget_boundary(self, monkeypatch, entries, budget):
+        pc = PartialConstraint(entries)
+        completions = list(complete_constraints(pc))
+        monkeypatch.setattr(crt_module, "MAX_SEARCH_NODES", budget)
+        assert list(complete_constraints(pc)) == completions
+        monkeypatch.setattr(crt_module, "MAX_SEARCH_NODES", budget - 1)
+        with pytest.raises(RuntimeError, match=f"exceeded its budget of {budget - 1} nodes"):
+            list(complete_constraints(pc))
+
 
 class TestReconstruct:
     def test_published_completion_gives_202(self):
@@ -472,6 +491,23 @@ class TestReconstructMinimal:
     def test_completion_cap(self):
         with pytest.raises(RuntimeError):
             reconstruct_minimal(PartialConstraint({12: 0}), cap=3)
+
+    def test_merge_steps_are_made_once_per_index(self, monkeypatch):
+        # The search and the solver each make the merge step of an index
+        # once, however many of the 2,520 completions pass through it.
+        pc = PartialConstraint({11: 3})
+        expected = reconstruct_minimal(pc)
+        calls = 0
+        step = crt_module._step
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return step(*args)
+
+        monkeypatch.setattr(crt_module, "_step", counted)
+        assert reconstruct_minimal(pc) == expected
+        assert calls <= 2 * (pc.max_index - 1)
 
     @pytest.mark.parametrize(
         "cap, error",

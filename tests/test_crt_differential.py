@@ -29,7 +29,7 @@ from tchoukaillon import (
     reconstruct,
     reconstruct_minimal,
 )
-from tchoukaillon.crt import _merge, _solve_completions, _step, prime_power_divisors
+from tchoukaillon.crt import _merge, _solve_completions, _steps, prime_power_divisors
 
 PRIMES = [p for p in range(2, 32) if all(p % q for q in range(2, p))]
 
@@ -157,13 +157,12 @@ def test_named_cases(entries):
 
 
 def test_merge_step_at_every_index():
-    # The search makes _step(lcm(2..i-1), i) once per index and folds every
-    # count in with it; each fold must be the merge, and the period carried
-    # to the next index lcm(2..i).
+    # The search and the solver make the step of lcm(2..i-1) and i once per
+    # index and fold every count in with it; each fold must be the merge,
+    # and the period carried to the next index lcm(2..i).
     rng = random.Random(8889)
     modulus = 1
-    for i in range(2, 89):
-        g, step, inverse, period = _step(modulus, i)
+    for i, (g, step, inverse, period) in enumerate(_steps(88), 2):
         assert (g, period) == (math.gcd(modulus, i), math.lcm(*range(2, i + 1))), i
         for _ in range(20):
             residue = rng.randrange(modulus)
@@ -175,7 +174,7 @@ def test_merge_step_at_every_index():
             assert folded == oracle.crt_solve_pairwise(system), (i, residue, value)
         modulus = period
     refusals = []
-    for refuse in (lambda: _step(modulus, 89), lambda: _merge(0, modulus, 0, 89),
+    for refuse in (lambda: _steps(89), lambda: _merge(0, modulus, 0, 89),
                    lambda: oracle.crt_solve_pairwise([Congruence(0, modulus), Congruence(0, 89)])):
         with pytest.raises(OverflowError) as refused:
             refuse()
