@@ -64,9 +64,13 @@ MAX_WALK_STEPS = 1 << 22        # walk steps, counted, RuntimeError: graph.enume
 #   board pays for the same move).  Walks are followed back from the
 #   Rumas, so only walks that end on a Ruma are extended; Rumas never
 #   block a walk, so walks can grow exponentially in number with length.
-#   make_star(4, 5) at cap 30000 takes 305,272: 1,144 to search its
-#   spokes and 4 per product move; a search of every board would take
-#   2,004,464.  make_path(16) takes 2,418, each step on a recorded walk.
+#   A path part (a path, a star spoke of two or more bins) is built as
+#   the linear game without the search, and is charged what the search
+#   would spend: 2p + 1 + vertex_count per unplay of p edges, nothing for
+#   its full last board.  make_star(4, 5) at cap 30000 takes 305,272:
+#   1,144 for its spokes and 4 per product move; a search of every board
+#   would take 2,004,464.  make_path(16) takes 2,418, each step on a
+#   recorded walk.
 
 
 def as_uint(value: object, what: str) -> int:

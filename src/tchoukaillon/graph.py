@@ -27,6 +27,11 @@ class IllegalMoveError(ValueError):
     """The requested sow or unplay violates the movement rules."""
 
 
+def _check_vertex_budget(vertex_count: int) -> None:
+    if vertex_count > MAX_VERTICES:
+        raise OverflowError(f"a sowing graph of {vertex_count} vertices exceeds the budget of {MAX_VERTICES}")
+
+
 class SowingGraph(_Frozen):
     """Directed graph with a distinguished nonempty Ruma vertex set.
 
@@ -44,8 +49,7 @@ class SowingGraph(_Frozen):
     ) -> None:
         if as_uint(vertex_count, "vertex count") < 1:
             raise ValueError("a sowing graph needs at least one vertex")
-        if vertex_count > MAX_VERTICES:
-            raise OverflowError(f"a sowing graph of {vertex_count} vertices exceeds the budget of {MAX_VERTICES}")
+        _check_vertex_budget(vertex_count)
         edge_list = []
         for edge in edges:
             if not isinstance(edge, (tuple, list)) or len(edge) != 2:
@@ -65,10 +69,25 @@ class SowingGraph(_Frozen):
         for r in ruma:
             if r >= vertex_count:
                 raise ValueError(f"Ruma vertex {r} does not exist")
+        self._store(vertex_count, edges, ruma, {v: tuple(sorted(ws)) for v, ws in out.items()})
+
+    @classmethod
+    def _trusted(
+        cls, vertex_count: int, edges: frozenset, ruma: frozenset, successors: dict[int, tuple[int, ...]]
+    ) -> "SowingGraph":
+        # A graph the library built itself, with its sorted successor
+        # tuples in vertex order: not re-checked.
+        graph = object.__new__(cls)
+        graph._store(vertex_count, edges, ruma, successors)
+        return graph
+
+    def _store(
+        self, vertex_count: int, edges: frozenset, ruma: frozenset, successors: dict[int, tuple[int, ...]]
+    ) -> None:
         _set(self, "vertex_count", vertex_count)
         _set(self, "edges", edges)
         _set(self, "ruma", ruma)
-        _set(self, "successors", {v: tuple(sorted(ws)) for v, ws in out.items()})
+        _set(self, "successors", successors)
         _set(self, "bins", tuple(v for v in range(vertex_count) if v not in ruma))
 
     def zero_board(self) -> "GraphBoard":
@@ -481,6 +500,77 @@ def _part_game(
     return keys, sows, budget
 
 
+def _path_line(
+    starts: tuple[int, ...],
+    successors: dict[int, tuple[int, ...]],
+    predecessors: list[list[int]],
+    is_ruma: list[bool],
+) -> tuple[int, ...] | None:
+    # (r, v_1, ..., v_L) when the part's bins form a path into the Ruma r:
+    # v_1's only out-edge goes to r and each v_(i+1)'s only to v_i.  The
+    # caller has checked that no Ruma has an out-edge, so a bin's
+    # predecessors are bins of its own part, and no other edge enters the
+    # path.  None for any other part.
+    if any(len(successors[v]) != 1 for v in starts):
+        return None
+    ends = [v for v in starts if is_ruma[successors[v][0]]]
+    if len(ends) != 1:
+        return None
+    line = [successors[ends[0]][0], ends[0]]
+    while len(line) <= len(starts) and len(predecessors[line[-1]]) == 1:
+        line += predecessors[line[-1]]
+    if predecessors[line[-1]] or len(line) != len(starts) + 1:
+        return None
+    return tuple(line)
+
+
+def _path_game(
+    line: tuple[int, ...], n: int, cap: int, budget: int
+) -> tuple[list[tuple[int, ...]], list[tuple], int]:
+    # The game of a path part, line = (r, v_1, ..., v_L), returned as
+    # _part_game returns it.  It is the linear game: a board has one
+    # unplay while a bin is empty, which fills the leftmost empty bin v_p
+    # with p stones along the walk v_p, ..., v_1, r, taking one stone from
+    # each of v_1..v_(p-1), so the boards form one chain.  Each unplay is
+    # charged what _legal_unplays charges for it: a step onto each of
+    # v_1..v_(p-1), then 1 + len(walk) + n for the walk recorded, 2p + 1 + n
+    # in all; the full last board, whose search returns at once, is free.
+    # No bin lies on a cycle and no Ruma has an out-edge, so the game is
+    # finite and a board past the cap is refused.
+    # row[i] is the label of line[i]; row[0], the Ruma's, stays 0, as does
+    # the sentinel row[L + 1] that ends the search for an empty bin.
+    row = [0] * (len(line) + 1)
+    # A board's vertex labels read off row in one call (n >= 2, so as a
+    # tuple); a vertex off the path reads the Ruma's 0.
+    where = [0] * n
+    for i, v in enumerate(line):
+        where[v] = i
+    labels_of = itemgetter(*where)
+    keys = [labels_of(row)]
+    sows: list[tuple] = []
+    # moves[p]: the one (move,) of the walk from v_p, shared by its edges;
+    # no other part has a walk from these bins.
+    moves: list[tuple[Move] | None] = [None] * len(line)
+    p = row.index(0, 1)
+    while p < len(line):
+        budget -= 2 * p + 1 + n
+        if budget < 0:
+            raise _budget_refusal()
+        if len(keys) >= cap:
+            raise _cap_refusal(cap)
+        for i in range(1, p):
+            row[i] -= 1
+        row[p] = p
+        keys.append(labels_of(row))
+        walk = moves[p]
+        if walk is None:
+            path = line[p::-1]
+            walk = moves[p] = (Move(line[p], line[0], path),)
+        sows.append((len(keys) - 1, len(keys) - 2, walk))
+        p = row.index(0, 1)
+    return keys, sows, budget
+
+
 def _product_game(games: list[tuple], cap: int, budget: int) -> tuple[list[tuple[int, ...]], list[tuple]]:
     # The game of independent parts, breadth-first over its boards, each
     # a choice of one board per part.  A board's unplays are its parts'
@@ -546,13 +636,18 @@ def enumerate_winning_boards(graph: SowingGraph, cap: int = DEFAULT_BOARD_CAP) -
 
     A board's unplays are found by walking back from each Ruma over the
     graph's predecessor lists, built once per call, so the search extends
-    only walks that end on a Ruma: a path board costs its walk back to
-    the first empty bin.  When no Ruma has an out-edge and no vertex lies
-    on a cycle, each weakly connected component of the bins (a spoke of a
-    star) plays its own game, and the game is their product: each part is
-    searched once and the product is built from the parts' moves, with
-    the boards and edges in the order a search of the whole board gives.
-    The edges are gathered in one bucket per source board.
+    only walks that end on a Ruma.  When no Ruma has an out-edge and no
+    vertex lies on a cycle, each weakly connected component of the bins
+    (a spoke of a star) plays its own game, and the game is their
+    product: each part is built once and the product is built from the
+    parts' moves, with the boards and edges in the order a search of the
+    whole board gives.  A part whose bins form a path into a Ruma (every
+    path, and every star spoke of two or more bins, in any vertex
+    numbering) plays the linear game, and is built as its chain of
+    boards without the walk search: each board's one unplay fills the
+    leftmost empty bin.  It is charged the steps the search would spend
+    on it, so refusals come where they would.  The edges are gathered in
+    one bucket per source board.
     """
     if as_uint(cap, "board cap") < 1:
         raise ValueError("cap must be >= 1")
@@ -568,10 +663,16 @@ def enumerate_winning_boards(graph: SowingGraph, cap: int = DEFAULT_BOARD_CAP) -
     walks: dict[tuple[int, ...], tuple[Move]] = {}
     budget = MAX_WALK_STEPS
     games = []
+    # When every Ruma is a sink, a part whose bins form a path plays the linear game.
+    sink_rumas = not any(graph.successors[r] for r in graph.ruma)
     for starts in parts:
-        keys, sows, budget = _part_game(
-            starts, finite, cap, on_cycle, predecessors, is_ruma, graph.ruma, budget, walks
-        )
+        line = sink_rumas and _path_line(starts, graph.successors, predecessors, is_ruma)
+        if line:
+            keys, sows, budget = _path_game(line, n, cap, budget)
+        else:
+            keys, sows, budget = _part_game(
+                starts, finite, cap, on_cycle, predecessors, is_ruma, graph.ruma, budget, walks
+            )
         games.append((keys, sows))
     if len(games) == 1:
         keys, sows = games[0]
@@ -611,23 +712,21 @@ def make_cycle(length: int) -> SowingGraph:
     """Directed cycle on *length* vertices, one of which is the Ruma."""
     if as_uint(length, "cycle length") < 1:
         raise ValueError("length must be >= 1")
-    # The edges are made as the graph reads them, after its vertex check.
-    return SowingGraph(length, ((i, (i - 1) % length) for i in range(length)), frozenset({0}))
+    _check_vertex_budget(length)
+    edges = [(i, (i - 1) % length) for i in range(length)]
+    return SowingGraph._trusted(length, frozenset(edges), frozenset({0}), {a: (b,) for a, b in edges})
 
 
 def make_star(spokes: int, length: int) -> SowingGraph:
     """Star of *spokes* directed paths of *length* bins, Ruma at the center."""
     if as_uint(spokes, "spoke count") < 1 or as_uint(length, "spoke length") < 1:
         raise ValueError("spokes and length must be >= 1")
-    if spokes * length + 1 > MAX_VERTICES:
-        raise OverflowError(f"a sowing graph of {spokes * length + 1} vertices exceeds the budget of {MAX_VERTICES}")
-    edges = set()
-    for s in range(spokes):
-        base = s * length
-        edges.add((base + 1, 0))
-        for d in range(2, length + 1):
-            edges.add((base + d, base + d - 1))
-    return SowingGraph(spokes * length + 1, frozenset(edges), frozenset({0}))
+    _check_vertex_budget(spokes * length + 1)
+    # Bin d of spoke s is vertex s * length + d: bin 1 feeds the Ruma 0, bin d > 1 feeds bin d - 1.
+    edges = [(v, v - 1 if (v - 1) % length else 0) for v in range(1, spokes * length + 1)]
+    successors = {0: ()}
+    successors.update((a, (b,)) for a, b in edges)
+    return SowingGraph._trusted(spokes * length + 1, frozenset(edges), frozenset({0}), successors)
 
 
 def cycle_attained_counts(length: int, board_limit: int) -> list[int]:
@@ -641,8 +740,7 @@ def cycle_attained_counts(length: int, board_limit: int) -> list[int]:
         raise ValueError("cycle_attained_counts requires length >= 2")
     if as_uint(board_limit, "board limit") < 1:
         raise ValueError("board_limit must be >= 1")
-    if length > MAX_VERTICES:
-        raise OverflowError(f"a sowing graph of {length} vertices exceeds the budget of {MAX_VERTICES}")
+    _check_vertex_budget(length)
     # Vertex id equals walk distance to the Ruma, so the closest minimally
     # labeled bin is min((label, id)).  Its walk wraps the cycle once per
     # stone on it: bins 1..v-1 give up label + 1 stones, every other bin
@@ -658,11 +756,22 @@ def cycle_attained_counts(length: int, board_limit: int) -> list[int]:
     return totals
 
 
+def _bin_getter(graph: SowingGraph) -> itemgetter:
+    # A board's bin labels, id order, as a tuple read off its labels in one
+    # call: itemgetter of a single index gives the bare label, so one bin
+    # or none is read as a slice.
+    bins = graph.bins
+    if len(bins) > 1:
+        return itemgetter(*bins)
+    return itemgetter(slice(bins[0], bins[0] + 1) if bins else slice(0))
+
+
 def game_graph_to_json(graph: SowingGraph, game: GameGraph) -> dict[str, object]:
     """JSON adjacency form of an enumerated game graph."""
+    bin_labels = _bin_getter(graph)
     return {
         "truncated": game.truncated,
-        "boards": [list(graph.bin_labels(b)) for b in game.boards],
+        "boards": [list(bin_labels(b.labels)) for b in game.boards],
         "edges": [
             {
                 "from": edge.source,
@@ -680,7 +789,8 @@ def game_graph_to_json(graph: SowingGraph, game: GameGraph) -> dict[str, object]
 def game_graph_to_dot(graph: SowingGraph, game: GameGraph) -> str:
     """DOT rendering with board bin-labels as node names."""
 
-    names = ["[" + ",".join(map(str, graph.bin_labels(board))) + "]" for board in game.boards]
+    bin_labels = _bin_getter(graph)
+    names = ["[" + ",".join(map(str, bin_labels(board.labels))) + "]" for board in game.boards]
     lines = ["digraph sowing_game {"]
     lines += [f'  "{name}";' for name in names]
     for edge in game.edges:

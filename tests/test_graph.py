@@ -340,21 +340,14 @@ class TestBudgets:
         game = enumerate_winning_boards(make_star(4, 5), cap=30_000)
         assert len(game.boards) == min_stones(6) ** 4
 
-    def test_large_star_searches_its_spokes(self, monkeypatch):
+    def test_large_star_searches_its_spokes(self, part_boards):
         # the star is the product of its spokes: each spoke's 12 boards are
-        # searched once, not each of the 12^4 = 20,736 boards of the star
-        searched = []
-
-        def counted(labels, starts, *rest):
-            searched.append(starts)
-            return legal_unplays(labels, starts, *rest)
-
-        legal_unplays = graph_module._legal_unplays
-        monkeypatch.setattr(graph_module, "_legal_unplays", counted)
+        # built once, as the linear game, not each of the 12^4 = 20,736
+        # boards of the star searched
         game = enumerate_winning_boards(make_star(4, 5), cap=30_000)
         assert len(game.boards) == 20_736
-        assert len(searched) == 4 * min_stones(6) == 48
-        assert sorted(set(searched)) == [tuple(range(1 + 5 * s, 6 + 5 * s)) for s in range(4)]
+        assert len(part_boards) == 4 * min_stones(6) == 48
+        assert sorted(set(part_boards)) == [("path", tuple(range(1 + 5 * s, 6 + 5 * s))) for s in range(4)]
 
     @pytest.mark.parametrize(
         "graph,cap,steps",
@@ -364,16 +357,20 @@ class TestBudgets:
         # steps counted by the walk budget, a measure of the search's work
         # that does not depend on machine load; the search walks back from
         # the Ruma, so on a path or a star of one-bin spokes every step
-        # lies on a recorded walk
+        # lies on a recorded walk, and a path, built as the linear game
+        # without the search, is charged what the search would spend
         left = []
 
-        def counted(*args):
-            keys, sows, budget = part_game(*args)
-            left.append(budget)
-            return keys, sows, budget
+        def counted(build):
+            def run(*args):
+                keys, sows, budget = build(*args)
+                left.append(budget)
+                return keys, sows, budget
 
-        part_game = graph_module._part_game
-        monkeypatch.setattr(graph_module, "_part_game", counted)
+            return run
+
+        for name in ("_part_game", "_path_game"):
+            monkeypatch.setattr(graph_module, name, counted(getattr(graph_module, name)))
         game = enumerate_winning_boards(graph, cap=cap)
         assert [graph_module.MAX_WALK_STEPS - budget for budget in left] == [steps]
         if not game.truncated:

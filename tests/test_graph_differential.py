@@ -4,8 +4,9 @@ Every enumeration must give byte-identical JSON and DOT exports to the
 breadth-first closure that replays each legal walk through the checked
 ``unplay_move``, exported by the per-edge DOT renderer, and the
 arithmetic cycle game must give the totals of the replayed walks.
-Graphs whose bins fall into independent parts are searched part by part
-and built as a product; the oracle searches them whole.  The walk search
+Graphs whose bins fall into independent parts are built part by part
+and as a product, and a part whose bins form a path is built as the
+linear game without the walk search; the oracle searches them whole.  The walk search
 itself, which runs backward from the Rumas, is compared board by board
 with the oracle's forward search from every bin.
 """
@@ -84,10 +85,73 @@ def test_cycles_at_every_cap(length):
         SowingGraph(5, frozenset({(1, 0), (2, 1), (4, 3)}), frozenset({0})),
         # parts {1, 3} and {2, 4} with interleaved ids, each feeding its own Ruma
         SowingGraph(6, frozenset({(1, 0), (3, 1), (3, 0), (2, 5), (4, 2)}), frozenset({0, 5})),
+        # no bins: one board, exported with no labels
+        SowingGraph(2, frozenset({(1, 0)}), frozenset({0, 1})),
     ],
 )
 def test_hand_built_graphs(graph):
     assert_same_game(graph, 10_000)
+
+
+# Path parts in other guises, each played as the linear game without the
+# walk search: vertex ids out of path order (a shuffled make_path(7)), a
+# Ruma that is not vertex 0, a second Ruma off the path, and two paths
+# into two Rumas, a product of two path parts.
+PATH_SHAPED = [
+    SowingGraph(4, frozenset({(2, 0), (3, 2), (1, 3)}), frozenset({0})),
+    SowingGraph(8, frozenset({(5, 3), (0, 5), (7, 0), (2, 7), (6, 2), (1, 6), (4, 1)}), frozenset({3})),
+    SowingGraph(5, frozenset({(4, 3), (0, 4), (2, 0), (1, 2)}), frozenset({3})),
+    SowingGraph(6, frozenset({(1, 0), (2, 1), (3, 2), (4, 3)}), frozenset({0, 5})),
+    SowingGraph(7, frozenset({(1, 0), (2, 1), (3, 2), (4, 6), (5, 4)}), frozenset({0, 6})),
+]
+
+# Shapes one edge or bin away from a path, which the walk search plays: a
+# Ruma with a self-loop (an infinite game the finiteness rule calls finite,
+# refused at the cap), a Ruma feeding a second Ruma, a Ruma feeding the far
+# end of the path (a cycle, truncated), a Y, and a path beside an isolated bin.
+NEAR_PATHS = [
+    SowingGraph(4, frozenset({(1, 0), (2, 1), (3, 2), (0, 0)}), frozenset({0})),
+    SowingGraph(5, frozenset({(1, 0), (2, 1), (3, 2), (0, 4)}), frozenset({0, 4})),
+    SowingGraph(4, frozenset({(1, 0), (2, 1), (3, 2), (0, 3)}), frozenset({0})),
+    SowingGraph(4, frozenset({(1, 0), (2, 1), (3, 1)}), frozenset({0})),
+    SowingGraph(5, frozenset({(1, 0), (2, 1), (3, 2)}), frozenset({0})),
+]
+
+
+@pytest.mark.parametrize("graph", PATH_SHAPED)
+def test_path_shapes_play_the_linear_game(graph, part_boards):
+    assert_same_game(graph, 10_000)
+    assert {builder for builder, _ in part_boards} == {"path"}
+
+
+@pytest.mark.parametrize("graph", NEAR_PATHS)
+def test_near_paths_take_the_walk_search(graph, part_boards):
+    assert_same_game(graph, 40)
+    assert {builder for builder, _ in part_boards} == {"search"}
+
+
+@pytest.mark.parametrize("graph", PATH_SHAPED)
+def test_path_shapes_at_the_cap(graph):
+    boards = len(engine(graph, 10_000).boards)
+    assert exports(graph, ENGINE, boards - 1)[0] == "RuntimeError"
+    for cap in (boards - 1, boards):
+        assert_same_game(graph, cap)
+
+
+@pytest.mark.parametrize("graph", PATH_SHAPED[:4])
+def test_path_shapes_spend_the_search_budget(graph, monkeypatch):
+    # One path, so each unplay of p edges costs the walk search's 2p + 1 +
+    # vertex_count steps: the game is built within exactly that budget,
+    # and one step less is refused as the search refuses it.
+    game = engine(graph, 10_000)
+    steps = sum(2 * len(m.path) - 1 + graph.vertex_count for edge in game.edges for m in edge.moves)
+    refusal = ("RuntimeError", f"the unplay walk search exceeded its budget of {steps - 1} steps")
+    for budget, expected in ((steps, exports(graph, ORACLE, 10_000)), (steps - 1, refusal)):
+        monkeypatch.setattr(graph_module, "MAX_WALK_STEPS", budget)
+        assert exports(graph, ENGINE, 10_000) == expected
+        with monkeypatch.context() as searched:
+            searched.setattr(graph_module, "_path_line", lambda *args: None)
+            assert exports(graph, ENGINE, 10_000) == expected
 
 
 def test_finite_game_beyond_cap_raises_on_both():
@@ -196,21 +260,14 @@ def factoring_graph(rng):
     return SowingGraph(len(ids), frozenset(edges), frozenset(ruma)), parts
 
 
-def test_random_factoring_graphs(monkeypatch):
-    # Each part is searched once per board of its own game, walks starting
-    # only on its bins; a search of the whole board would start on every
-    # bin, once per board of the product.  The parts of one bin are
-    # searched together, and with fewer than two bins feeding a Ruma the
-    # whole board is the one part.
-    searched = []
-
-    def counted(labels, starts, *rest):
-        searched.append(starts)
-        return legal_unplays(labels, starts, *rest)
-
-    legal_unplays = graph_module._legal_unplays
-    monkeypatch.setattr(graph_module, "_legal_unplays", counted)
-    products = refusals = fewer = 0
+def test_random_factoring_graphs(part_boards):
+    # Each part's game is built once, one board per board of its own game:
+    # walks start only on its bins, and a path part is the linear game; a
+    # search of the whole board would start on every bin, once per board
+    # of the product.  The parts of one bin are searched together, and
+    # with fewer than two bins feeding a Ruma the whole board is the one
+    # part.
+    products = refusals = fewer = paths = 0
     for seed in range(60):
         rng = random.Random(seed)
         graph, parts = factoring_graph(rng)
@@ -219,24 +276,25 @@ def test_random_factoring_graphs(monkeypatch):
         if len(parts) < 2 or len({a for a, b in graph.edges if b in graph.ruma}) < 2:
             parts = [graph.bins]
         cap = rng.choice((40, 2000))
-        searched.clear()
+        part_boards.clear()
         try:
             game = engine(graph, cap)
         except RuntimeError as exc:
             assert exports(graph, ORACLE, cap) == ("RuntimeError", str(exc)), f"seed {seed}"
-            assert set(searched) <= set(parts), f"seed {seed}"
+            assert {bins for _, bins in part_boards} <= set(parts), f"seed {seed}"
             refusals += 1
             continue
         assert (game_graph_to_json(graph, game), game_graph_to_dot(graph, game)) == exports(graph, ORACLE, cap)
         assert game == enumerate_by_replay(graph, cap), f"seed {seed}"
         assert pickle.loads(pickle.dumps(game)) == game
-        part_boards = [{tuple(board.labels[v] for v in part) for board in game.boards} for part in parts]
-        assert len(game.boards) == math.prod(map(len, part_boards)), f"seed {seed}"
-        assert set(searched) == set(parts), f"seed {seed}"
-        assert len(searched) == sum(map(len, part_boards)), f"seed {seed}"
+        part_game_boards = [{tuple(board.labels[v] for v in part) for board in game.boards} for part in parts]
+        assert len(game.boards) == math.prod(map(len, part_game_boards)), f"seed {seed}"
+        assert {bins for _, bins in part_boards} == set(parts), f"seed {seed}"
+        assert len(part_boards) == sum(map(len, part_game_boards)), f"seed {seed}"
         products += 1
-        fewer += len(searched) < len(game.boards)
-    assert products >= 25 and refusals >= 10 and fewer >= 20
+        fewer += len(part_boards) < len(game.boards)
+        paths += any(builder == "path" for builder, _ in part_boards)
+    assert products >= 25 and refusals >= 10 and fewer >= 20 and paths >= 10
 
 
 @pytest.mark.parametrize("length,limit", [(3, 30), (4, 50), (5, 80), (6, 100), (2, 12)])
