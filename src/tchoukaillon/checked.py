@@ -44,6 +44,8 @@ MAX_WALK_STEPS = 1 << 22        # walk steps, counted, RuntimeError: graph.enume
 #   n near 2^128 would have ~1e19.
 # - MAX_PERIOD_INDEX: lcm(2..i+1) is the period of bins 1..i; crt's
 #   search leaves 128 bits at its shifted index MAX_PERIOD_INDEX + 2 = 89.
+#   crt builds its merge-step table once at import, for the shifted
+#   indices 2..MAX_PERIOD_INDEX + 1 = 88; the step of 89 is the refusal.
 # - SEQUENCE_CAP: a term costs about L^(2/3) steps; 32,768 take about 3 s.
 # - CONDITIONS_CAP: ~3.4 conditions per index: 441,212 pairs, 37 MB, 1 s.
 # - MAX_SEARCH_NODES: counted from the last completion yielded (or the

@@ -14,12 +14,13 @@ solution of the congruences so far, and offers each bin only the counts
 that keep them solvable.  Every congruence, in the search and in
 :func:`crt_solve`, is folded in by the same merge step, in two parts: one
 that depends on the moduli alone (a gcd, a modular inverse and the
-checked period) and one line that folds in the value.  The search's
-running modulus at index i is lcm(2..i-1) on every branch, so it makes
-the first part once per index, and a node costs one multiply-add.  The
+checked period) and one line that folds in the value.  The running
+modulus at index i is lcm(2..i-1) on every branch, so the first part
+depends on i alone: the table of it for indices 2..88 is built once at
+import, and a node of the search costs one multiply-add.  The
 reconstructions solve each completion the search yields from the prefix
-it shares with the completion before, with a table of the same first
-parts, so a fold there is one multiply-add too.
+it shares with the completion before, with the same table, so a fold
+there is one multiply-add too.
 """
 
 from __future__ import annotations
@@ -402,8 +403,8 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
     exactly the counts whose window conditions hold.  A constrained index
     keeps its count only if it is among them.  The modulus at index i is
     the same on every branch, so g, the inverse that folds a count in and
-    the next period are made once per index, on first reaching it; a node
-    then folds in each count with one multiply-add, and a node at the top
+    the next period come from the table built once at import; a node
+    folds in each count with one multiply-add, and a node at the top
     index yields its completions itself.  Yields nothing when
     the constraint is infeasible, and raises OverflowError on reaching
     index 89, where lcm(2..89) leaves the 128-bit range.  A branch that
@@ -428,7 +429,6 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
         yield ()
         return
     values: list[int] = []
-    steps: list[tuple[int, int, int, int]] = []  # steps[i - 2]: the step of lcm(2..i-1) and i
     nodes = 0
 
     def extend(i: int, total: int, residue: int, modulus: int) -> Iterator[tuple[int, ...]]:
@@ -436,9 +436,8 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
         nodes += 1
         if nodes > MAX_SEARCH_NODES:
             raise RuntimeError(f"the completion search exceeded its budget of {MAX_SEARCH_NODES} nodes")
-        if len(steps) < i - 1:
-            steps.append(_step(modulus, i, math.gcd(modulus, i)))
-        g, step, inverse, period = steps[i - 2]
+        # Past the table, making the step of index 89 raises OverflowError.
+        g, step, inverse, period = _STEPS[i - 2] if i - 2 < len(_STEPS) else _step(modulus, i, math.gcd(modulus, i))
         choices = range((residue - total) % g, i, g)
         if i in fixed:
             choices = (fixed[i],) if fixed[i] in choices else ()
@@ -467,27 +466,26 @@ def _steps(top: int) -> list[tuple[int, int, int, int]]:
     return steps
 
 
+_STEPS = tuple(_steps(MAX_PERIOD_INDEX + 1))  # _STEPS[i - 2]: the step of index i, for i = 2..88
+
+
 def _solve_completions(completions: Iterable[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], int, int]]:
     # Each completion with (minimal solution, period) of its congruences
     # n = m_2 + ... + m_j (mod j).  Completions in search order share all
     # but their last few counts, so the fold of each prefix is kept on a
     # stack, and a completion is folded only from the first index where it
     # differs from the one before, found by one C-level scan.  As in the
-    # search, the modulus before index i is lcm(2..i-1) on every completion,
-    # so the steps of all indices are made once, for the first completion,
-    # and a fold is one multiply-add.  The completions are allowable, so
+    # search, each fold takes its index's step from the table built once at
+    # import, so it is one multiply-add.  The completions are allowable, so
     # every fold is solvable.
     previous: tuple[int, ...] = ()
-    steps: list[tuple[int, int, int, int]] = []  # steps[j]: the step of index j + 2
     folded = [(0, 1, 0)]  # folded[j]: (residue, period, total) over the first j counts
     for completion in completions:
         shared = min(len(completion), len(previous))
         j = next(compress(range(shared), map(ne, completion, previous)), shared)
         del folded[j + 1 :]
         residue, modulus, total = folded[-1]
-        if len(steps) < len(completion):
-            steps = _steps(len(completion) + 1)
-        for (g, step, inverse, period), value in zip(steps[j:], completion[j:]):
+        for (g, step, inverse, period), value in zip(_STEPS[j : len(completion)], completion[j:]):
             total += value
             residue += modulus * ((total - residue) // g * inverse % step)
             modulus = period

@@ -104,6 +104,7 @@ class SowingGraph(_Frozen):
 
     def bin_labels(self, board: "GraphBoard") -> tuple[int, ...]:
         """Non-Ruma labels in id order; the game-graph identity of a board."""
+        _check_board(self, board)
         return tuple(board.labels[v] for v in self.bins)
 
     def stones(self, board: "GraphBoard") -> int:
@@ -193,6 +194,11 @@ class GameGraph(_Frozen):
         _set(self, "truncated", truncated)
 
 
+def _check_board(graph: SowingGraph, board: GraphBoard) -> None:
+    if len(board.labels) != graph.vertex_count:
+        raise ValueError(f"a board of {len(board.labels)} labels does not fit a graph of {graph.vertex_count} vertices")
+
+
 def _check_walk(graph: SowingGraph, path: tuple[int, ...]) -> None:
     if len(path) < 2:
         raise IllegalMoveError("a sowing walk needs at least one edge")
@@ -207,6 +213,7 @@ def sow_move(graph: SowingGraph, board: GraphBoard, v: int, path: tuple[int, ...
     The walk's edge-length must equal the label of v; every vertex stepped
     on (Rumas included, revisits counted) gains one stone.
     """
+    _check_board(graph, board)
     as_uint(v, "sown vertex")
     path = tuple(path)
     if v in graph.ruma:
@@ -238,6 +245,7 @@ def unplay_move(
     stones taken from a Ruma come out of its captures, which never block
     the move.
     """
+    _check_board(graph, board)
     as_uint(v, "refilled vertex")
     as_uint(r, "Ruma vertex")
     path = tuple(path)

@@ -493,8 +493,9 @@ class TestReconstructMinimal:
             reconstruct_minimal(PartialConstraint({12: 0}), cap=3)
 
     def test_merge_steps_are_made_once_per_index(self, monkeypatch):
-        # The search and the solver each make the merge step of an index
-        # once, however many of the 2,520 completions pass through it.
+        # The search and the solver read the merge step of every index from
+        # the table built at import, however many of the 2,520 completions
+        # pass through it, so a query below index 89 makes no step at all.
         pc = PartialConstraint({11: 3})
         expected = reconstruct_minimal(pc)
         calls = 0
@@ -507,7 +508,7 @@ class TestReconstructMinimal:
 
         monkeypatch.setattr(crt_module, "_step", counted)
         assert reconstruct_minimal(pc) == expected
-        assert calls <= 2 * (pc.max_index - 1)
+        assert calls == 0
 
     @pytest.mark.parametrize(
         "cap, error",
@@ -543,6 +544,14 @@ class TestPinnedPrefix:
         assert list(complete_constraints(pc)) == [tuple(v for _, v in pc.entries)]
         assert solve(pc) == (self.N, board_from_stones(self.N))
 
+    @pytest.mark.parametrize("solve", [reconstruct, reconstruct_minimal])
+    def test_prefix_through_the_last_table_index(self, solve):
+        # m_2..m_88 pinned: every fold reads the step table, up to its last entry
+        n = 10**6
+        pc = PartialConstraint(enumerate(shifted_prefix(board_from_stones(n), 88), 2))
+        assert list(complete_constraints(pc)) == [tuple(v for _, v in pc.entries)]
+        assert solve(pc) == (n, board_from_stones(n))
+
 
 class TestPeriodBeyond128Bits:
     # lcm(2..88) has 123 bits and lcm(2..89) has 130, so the search stops at 89
@@ -564,11 +573,24 @@ class TestPeriodBeyond128Bits:
             (prime_reconstruct, {91: 1}),
         ],
     )
-    def test_refused_promptly(self, solve, entries):
+    def test_refused_promptly(self, monkeypatch, solve, entries):
+        # Index 89 is past the step table: the refusal makes at most one
+        # step, the one that passes 128 bits, a count of work that does not
+        # depend on the machine, beside the wall clock.
+        calls = 0
+        step = crt_module._step
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return step(*args)
+
+        monkeypatch.setattr(crt_module, "_step", counted)
         start = time.perf_counter()
         with pytest.raises(OverflowError, match=f"congruence system period exceeds .*\\({self.PERIOD_89} >"):
             solve(PartialConstraint(entries))
         assert time.perf_counter() - start < 0.5
+        assert calls <= 1
 
     def test_infeasible_below_89_is_still_infeasible(self):
         with pytest.raises(Infeasible):

@@ -29,7 +29,7 @@ from tchoukaillon import (
     reconstruct,
     reconstruct_minimal,
 )
-from tchoukaillon.crt import _merge, _solve_completions, _steps, prime_power_divisors
+from tchoukaillon.crt import _STEPS, _merge, _solve_completions, _steps, prime_power_divisors
 
 PRIMES = [p for p in range(2, 32) if all(p % q for q in range(2, p))]
 
@@ -157,9 +157,10 @@ def test_named_cases(entries):
 
 
 def test_merge_step_at_every_index():
-    # The search and the solver make the step of lcm(2..i-1) and i once per
-    # index and fold every count in with it; each fold must be the merge,
-    # and the period carried to the next index lcm(2..i).
+    # The search and the solver fold every count in with the step of
+    # lcm(2..i-1) and i from the table built at import; each fold must be
+    # the merge, and the period carried to the next index lcm(2..i).
+    assert _STEPS == tuple(_steps(88))
     rng = random.Random(8889)
     modulus = 1
     for i, (g, step, inverse, period) in enumerate(_steps(88), 2):

@@ -93,6 +93,22 @@ class TestSowingGraph:
 
 
 class TestMoves:
+    @pytest.mark.parametrize("labels", [(0, 1, 0, 7), (0,)], ids=["longer", "shorter"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, b: sow_move(g, b, 1, (1, 0)),
+            lambda g, b: unplay_move(g, b, 1, 0, (1, 0)),
+            lambda g, b: g.bin_labels(b),
+            lambda g, b: g.stones(b),
+        ],
+        ids=["sow_move", "unplay_move", "bin_labels", "stones"],
+    )
+    def test_board_of_another_vertex_count_is_refused(self, labels, call):
+        # One label per vertex: a longer board is not cut short, nor a shorter one read past its end.
+        with pytest.raises(ValueError, match=f"board of {len(labels)} labels does not fit a graph of 3 vertices"):
+            call(make_path(2), GraphBoard(labels))
+
     def test_sow_along_a_path(self):
         g = make_path(3)
         after = sow_move(g, g.board_with_bins((0, 1, 3)), 3, (3, 2, 1, 0))
