@@ -21,11 +21,13 @@ UINT128_MAX = 2**128 - 1
 
 # The work limits: what each bounds, the error past it (OverflowError
 # unless named) and the calls that check it.  A call checks a limit
-# before the work where its arguments give the amount, and the four
-# marked "counted" as the work goes.  A *_CAP is the default of its
+# before the work where its arguments give the amount, and as the work
+# goes where marked "counted".  A *_CAP is the default of its
 # call's cap parameter; the others are fixed.
 PLAY_SEQUENCE_CAP = 10_000_000  # moves listed, ValueError: core.play_sequence
-MAX_BOARD_BINS = 1 << 24        # bins built: core.board_from_stones, length, crt remainders, cli table
+MAX_BOARD_BINS = 1 << 24        # bins built: core.board_from_stones, length, crt remainders, cli table;
+#                                 bins walked, counted: core.first_played_bin;
+#                                 boards times vertices: graph.cycle_attained_counts
 MAX_PERIOD_INDEX = 87           # i with lcm(2..i+1) in 128 bits: core.minimal_period, crt
 SEQUENCE_CAP = 1 << 15          # terms, ValueError: length.min_stones_sequence
 SCAN_CAP = 1_000_000            # stone counts, RuntimeError: sieve.sieve_stage

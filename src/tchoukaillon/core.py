@@ -200,18 +200,19 @@ def first_played_bin(n: int) -> int:
 
     Equals the smallest i whose bin holds exactly i stones; the last bin
     always does, so the scan terminates.  Bin i holds what is left of n
-    mod (i + 1), and the board is walked only up to that bin.
+    mod (i + 1), and the board is walked only up to that bin.  The walk
+    is counted against the bin budget, so a bin past it raises
+    OverflowError.
     """
     if as_uint(n, "stone count") < 1:
         raise ValueError("first_played_bin requires n >= 1")
     remaining = n
-    i = 1
-    while True:
+    for i in range(1, MAX_BOARD_BINS + 1):
         count = remaining % (i + 1)
         if count == i:
             return i
         remaining -= count
-        i += 1
+    raise OverflowError(f"the first played bin of {n} stones lies past the budget of {MAX_BOARD_BINS} bins")
 
 
 def play_sequence(n: int, cap: int = PLAY_SEQUENCE_CAP) -> list[int]:

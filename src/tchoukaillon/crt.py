@@ -11,10 +11,10 @@ allowable (every prime-power window condition holds) exactly when these
 congruences for j <= i can be solved, so one search serves every
 reconstruction: it assigns bins in increasing index order, carries the
 solution of the congruences so far, and offers each bin only the counts
-that keep them solvable.  Every congruence, in the search and in
-:func:`crt_solve`, is folded in by the same merge step, in two parts: one
-that depends on the moduli alone (a gcd, a modular inverse and the
-checked period) and one line that folds in the value.  The running
+that keep them solvable.  Every congruence, in the search and in the
+one fold of :func:`crt_solve`, is folded in by the same merge step, in two
+parts: one that depends on the moduli alone (a gcd, a modular inverse and
+the checked period) and one line that folds in the value.  The running
 modulus at index i is lcm(2..i-1) on every branch, so the first part
 depends on i alone: the table of it for indices 2..88 is built once at
 import, and a node of the search costs one multiply-add.  The
@@ -244,21 +244,17 @@ def board_from_shifted(values: Iterable[int]) -> Board:
     return Board(tuple(values))
 
 
-def _violating_pair(system: list[Congruence]) -> tuple[Congruence, Congruence]:
-    # The first clashing pair (p, q) in index order, for a system that
-    # clashes.  Fold it again, keeping the solution of each prefix, up to
-    # the first congruence f that clashes with its prefix.  Congruences
-    # that agree pairwise agree as a system, so p < f <= q, and q clashes
-    # with one of system[:t+1] exactly when it clashes with prefix[t], their
-    # solution: a bisection over the prefix solutions finds each q's first p.
-    # The probe is the gcd test alone, as a merge could pass the period budget.
-    prefix = [(system[0].residue, system[0].modulus)]
-    for congruence in system[1:]:
-        merged = _merge(*prefix[-1], congruence.residue, congruence.modulus)
-        if merged is None:
-            break
-        prefix.append(merged)
-    p = q = f = len(prefix)
+def _violating_pair(
+    system: list[Congruence], residues: list[int], periods: list[int]
+) -> tuple[Congruence, Congruence]:
+    # The first clashing pair (p, q) in index order.  The fold stopped at
+    # the first congruence f that clashes with its prefix, and residues[t],
+    # periods[t] solve system[:t+1] for t < f.  Congruences that agree
+    # pairwise agree as a system, so p < f <= q, and q clashes with one of
+    # system[:t+1] exactly when it clashes with their solution: a bisection
+    # over the prefix solutions finds each q's first p.  The probe is the
+    # gcd test alone, as a merge could pass the period budget.
+    p = q = f = len(residues)
     for j in range(f, len(system)):
         if p == 0:
             break  # no later pair comes first
@@ -266,8 +262,7 @@ def _violating_pair(system: list[Congruence]) -> tuple[Congruence, Congruence]:
         lo, hi = 0, p
         while lo < hi:
             mid = (lo + hi) // 2
-            residue, modulus = prefix[mid]
-            if (value - residue) % math.gcd(modulus, i):
+            if (value - residues[mid]) % math.gcd(periods[mid], i):
                 hi = mid
             else:
                 lo = mid + 1
@@ -281,22 +276,11 @@ def _step(modulus: int, i: int, g: int) -> tuple[int, int, int, int]:
     # that depends on the moduli alone, given g = gcd(modulus, i): g,
     # step = i / g, the inverse of modulus / g modulo step, and the merged
     # period, which must stay within 128 bits.  The part that depends on the
-    # values is one line, in _merge, the search and the solver: for residue
-    # in [0, modulus) and value = residue (mod g), the merged residue is
-    # residue + modulus * ((value - residue) / g * inverse % step).
+    # values is one line, in crt_solve's fold, the search and the solver:
+    # for residue in [0, modulus) and value = residue (mod g), the merged
+    # residue is residue + modulus * ((value - residue) / g * inverse % step).
     step = i // g
     return g, step, pow(modulus // g, -1, step), as_uint(modulus * step, "congruence system period")
-
-
-def _merge(residue: int, modulus: int, value: int, i: int) -> tuple[int, int] | None:
-    # The merged (residue, period), or None when the two congruences clash
-    # modulo their gcd.  The clash is tested first, so it is reported even
-    # where the period would pass 128 bits.
-    g = math.gcd(modulus, i)
-    if (value - residue) % g:
-        return None
-    _, step, inverse, period = _step(modulus, i, g)
-    return residue + modulus * ((value - residue) // g * inverse % step), period
 
 
 def crt_solve(system: Iterable[Congruence]) -> tuple[int, int]:
@@ -310,17 +294,26 @@ def crt_solve(system: Iterable[Congruence]) -> tuple[int, int]:
     system = list(system)
     if not system:
         raise ValueError("empty congruence system")
+    # residues[t], periods[t]: the solution of system[:t+1].  The clash is
+    # tested before the step is made, so it is reported even where the
+    # period would pass 128 bits.
     residue, modulus = system[0].residue, system[0].modulus
+    residues, periods = [residue], [modulus]
     for congruence in system[1:]:
-        merged = _merge(residue, modulus, congruence.residue, congruence.modulus)
-        if merged is None:
-            pair = _violating_pair(system)
+        value, i = congruence.residue, congruence.modulus
+        g = math.gcd(modulus, i)
+        if (value - residue) % g:
+            pair = _violating_pair(system, residues, periods)
             raise Infeasible(
                 f"congruences disagree: {pair[0]} vs {pair[1]} "
                 f"(mod gcd {math.gcd(pair[0].modulus, pair[1].modulus)})",
                 witness=pair,
             )
-        residue, modulus = merged
+        _, step, inverse, period = _step(modulus, i, g)
+        residue += modulus * ((value - residue) // g * inverse % step)
+        modulus = period
+        residues.append(residue)
+        periods.append(modulus)
     return residue, modulus
 
 

@@ -17,7 +17,7 @@ import functools
 from itertools import chain
 from operator import add, itemgetter, sub
 
-from .checked import DEFAULT_BOARD_CAP, MAX_VERTICES, MAX_WALK_STEPS, _Frozen, as_uint
+from .checked import DEFAULT_BOARD_CAP, MAX_BOARD_BINS, MAX_VERTICES, MAX_WALK_STEPS, _Frozen, as_uint
 
 # object.__setattr__, looked up once: a game search builds a value per board and edge.
 _set = object.__setattr__
@@ -420,18 +420,18 @@ def _legal_unplays(
     return found, budget
 
 
-def _parts(graph: SowingGraph, on_cycle: list[bool]) -> list[tuple[int, ...]]:
-    # The bins of each independent part of the game, in id order.  When no
-    # Ruma has an out-edge and no vertex lies on a cycle, a walk ends on
-    # the first Ruma it reaches and never leaves its start's weakly
-    # connected component of the bin subgraph, so each component plays
-    # its own game; otherwise the whole board is one part.  It is one part
-    # as well when fewer than two bins feed a Ruma, as on a path: only a
-    # part holding such a bin has moves, and the others stay empty.  The
+def _parts(graph: SowingGraph, on_cycle: list[bool], sink_rumas: bool) -> list[tuple[int, ...]]:
+    # The bins of each independent part of the game, in id order.  When
+    # every Ruma is a sink (no out-edge) and no vertex lies on a cycle, a
+    # walk ends on the first Ruma it reaches and never leaves its start's
+    # weakly connected component of the bin subgraph, so each component
+    # plays its own game; otherwise the whole board is one part.  It is one
+    # part as well when fewer than two bins feed a Ruma, as on a path: only
+    # a part holding such a bin has moves, and the others stay empty.  The
     # components of a single bin are searched together, as one part: each
     # has at most two boards, and searching it costs about what the
     # product pass spends on a board.
-    if any(on_cycle) or any(graph.successors[r] for r in graph.ruma):
+    if any(on_cycle) or not sink_rumas:
         return [graph.bins]
     if len({a for a, b in graph.edges if b in graph.ruma}) < 2:
         return [graph.bins]
@@ -466,14 +466,11 @@ def _part_game(
     is_ruma: list[bool],
     rumas: frozenset[int],
     budget: int,
-    walks: dict[tuple[int, ...], tuple[Move]],
 ) -> tuple[list[tuple[int, ...]], list[tuple], int]:
     # Breadth-first closure of unplaying from the empty board, walks
     # starting only on *starts*.  Returns the boards' full vertex labels
     # in discovery order; one (target, source, (move,)) per sow move, by
     # source and then in (v, r, path) order; and the step budget left.
-    # *walks* holds the one (move,) of each distinct walk, shared by every
-    # edge that uses it.
     n = len(is_ruma)
     is_start = [False] * n
     for v in starts:
@@ -482,6 +479,10 @@ def _part_game(
     keys = [(0,) * n]
     index = {keys[0]: 0}
     sows: list[tuple] = []
+    # walks holds the one (move,) of each distinct walk, shared by every
+    # edge that uses it; a walk starts on this part's bins, so no other
+    # part has it.
+    walks: dict[tuple[int, ...], tuple[Move]] = {}
     yi = 0
     while yi < len(keys):
         labels = list(keys[yi])
@@ -667,19 +668,17 @@ def enumerate_winning_boards(graph: SowingGraph, cap: int = DEFAULT_BOARD_CAP) -
     predecessors: list[list[int]] = [[] for _ in range(n)]
     for v, w in graph.edges:
         predecessors[w].append(v)
-    parts = _parts(graph, on_cycle)
-    walks: dict[tuple[int, ...], tuple[Move]] = {}
-    budget = MAX_WALK_STEPS
-    games = []
     # When every Ruma is a sink, a part whose bins form a path plays the linear game.
     sink_rumas = not any(graph.successors[r] for r in graph.ruma)
-    for starts in parts:
+    budget = MAX_WALK_STEPS
+    games = []
+    for starts in _parts(graph, on_cycle, sink_rumas):
         line = sink_rumas and _path_line(starts, graph.successors, predecessors, is_ruma)
         if line:
             keys, sows, budget = _path_game(line, n, cap, budget)
         else:
             keys, sows, budget = _part_game(
-                starts, finite, cap, on_cycle, predecessors, is_ruma, graph.ruma, budget, walks
+                starts, finite, cap, on_cycle, predecessors, is_ruma, graph.ruma, budget
             )
         games.append((keys, sows))
     if len(games) == 1:
@@ -742,13 +741,20 @@ def cycle_attained_counts(length: int, board_limit: int) -> list[int]:
 
     Each step unplays from the Ruma into the closest minimally labeled
     vertex, wrapping the cycle once per stone already on it.  Not every
-    integer appears among the totals.
+    integer appears among the totals.  Each board costs O(length), so
+    board_limit * length, the cells of the boards' label table, must stay
+    within the bin budget; past it OverflowError is raised before the
+    first step.
     """
     if as_uint(length, "cycle length") < 2:
         raise ValueError("cycle_attained_counts requires length >= 2")
     if as_uint(board_limit, "board limit") < 1:
         raise ValueError("board_limit must be >= 1")
     _check_vertex_budget(length)
+    if board_limit * length > MAX_BOARD_BINS:
+        raise OverflowError(
+            f"a table of {board_limit} boards by {length} vertices passes the budget of {MAX_BOARD_BINS} bins"
+        )
     # Vertex id equals walk distance to the Ruma, so the closest minimally
     # labeled bin is min((label, id)).  Its walk wraps the cycle once per
     # stone on it: bins 1..v-1 give up label + 1 stones, every other bin

@@ -29,7 +29,8 @@ from tchoukaillon import (
     reconstruct,
     reconstruct_minimal,
 )
-from tchoukaillon.crt import _STEPS, _merge, _solve_completions, _steps, prime_power_divisors
+from tchoukaillon import crt as crt_module
+from tchoukaillon.crt import _STEPS, _solve_completions, _steps, prime_power_divisors
 
 PRIMES = [p for p in range(2, 32) if all(p % q for q in range(2, p))]
 
@@ -159,7 +160,8 @@ def test_named_cases(entries):
 def test_merge_step_at_every_index():
     # The search and the solver fold every count in with the step of
     # lcm(2..i-1) and i from the table built at import; each fold must be
-    # the merge, and the period carried to the next index lcm(2..i).
+    # what crt_solve makes of the pair, and the period carried to the next
+    # index lcm(2..i).
     assert _STEPS == tuple(_steps(88))
     rng = random.Random(8889)
     modulus = 1
@@ -170,12 +172,12 @@ def test_merge_step_at_every_index():
             value = rng.randrange(i * i)
             value += (residue - value) % g  # solvable: value = residue (mod g)
             folded = residue + modulus * ((value - residue) // g * inverse % step), period
-            assert folded == _merge(residue, modulus, value, i), (i, residue, value)
             system = [Congruence(residue, modulus), Congruence(value % i, i)]
+            assert folded == crt_solve(system), (i, residue, value)
             assert folded == oracle.crt_solve_pairwise(system), (i, residue, value)
         modulus = period
     refusals = []
-    for refuse in (lambda: _steps(89), lambda: _merge(0, modulus, 0, 89),
+    for refuse in (lambda: _steps(89), lambda: crt_solve([Congruence(0, modulus), Congruence(0, 89)]),
                    lambda: oracle.crt_solve_pairwise([Congruence(0, modulus), Congruence(0, 89)])):
         with pytest.raises(OverflowError) as refused:
             refuse()
@@ -291,3 +293,24 @@ def test_crt_solve_refuses_a_long_system_in_few_gcd_probes(monkeypatch, tail, fi
     monkeypatch.undo()
     assert got == solved(crt_solve, short)
     assert calls < len(system) * (math.log2(len(system)) + 3)
+
+
+@pytest.mark.parametrize("tail", [[], [Congruence(1, 3)]], ids=["adjacent-pair", "late-pair"])
+def test_crt_solve_folds_a_clashing_system_once(monkeypatch, tail):
+    # One merge step for each merge before the clash: the n - 1 merges of
+    # 0 mod 3 and that of 0 mod 2.  The witness is read off the prefix
+    # solutions of that one fold, which makes no step.
+    n = 1000
+    system = long_clash(n, tail)
+    calls = 0
+    step = crt_module._step
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    monkeypatch.setattr(crt_module, "_step", counted)
+    with pytest.raises(Infeasible):
+        crt_solve(system)
+    assert calls == n

@@ -431,6 +431,19 @@ class TestBudgets:
         with pytest.raises(OverflowError, match="cycle stone total"):
             cycle_attained_counts(2, 200)
 
+    @pytest.mark.parametrize("length, limit", [(300, 10**6), (2, 2**23 + 1), (100, 10**9)])
+    def test_cycle_totals_past_the_bin_budget_are_refused(self, length, limit):
+        # each board costs a pass over the cycle's labels: boards times
+        # vertices is held to the bin budget, checked before the first step
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match=f"a table of {limit} boards by {length} vertices passes the budget"):
+            cycle_attained_counts(length, limit)
+        assert time.perf_counter() - start < 0.5
+
+    def test_cycle_totals_at_the_bin_budget_reach_the_total_limit(self):
+        with pytest.raises(OverflowError, match="cycle stone total"):
+            cycle_attained_counts(2, 2**23)
+
 
 class TestExports:
     def test_dot_contains_board_names(self):

@@ -35,6 +35,16 @@ class TestFirstPlayedBin:
             assert direct == played
             assert direct == leftmost_empty(board_from_stones(n - 1))
 
+    # The first elements of sieve stages 2^24 + 1 and 2^26: their first
+    # played bins lie past the bin budget, and the walk stops there.
+    @pytest.mark.parametrize("n", [89_596_304_206_522, 1_433_540_247_836_322])
+    def test_walk_past_the_bin_budget_is_refused(self, n):
+        with pytest.raises(OverflowError, match=f"first played bin of {n} stones lies past the budget"):
+            first_played_bin(n)
+
+    def test_walk_to_the_last_budgeted_bin(self):
+        assert first_played_bin(min_stones(2**24)) == 2**24
+
 
 class TestSieveStage:
     @pytest.mark.parametrize("k", sorted(SIEVE_ROWS))
