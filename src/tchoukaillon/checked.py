@@ -52,9 +52,9 @@ MAX_WALK_STEPS = 1 << 22        # walk steps, counted, RuntimeError: graph.enume
 # - CONDITIONS_CAP: ~3.4 conditions per index: 441,212 pairs, 37 MB, 1 s.
 # - MAX_SEARCH_NODES: counted from the last completion yielded (or the
 #   start), so reconstruct_minimal's completion cap stays exact.  The
-#   search runs 0.75M-1.4M nodes/s, so a refusal takes 0.75-1.4 s
+#   search runs 1.1M-2.6M nodes/s, so a refusal takes 0.4-0.9 s
 #   (reconstruct({16: 3, 34: 10}), CPython 3.11.7, 2-CPU Xeon whose speed
-#   varied by about 1.8x between runs); the largest
+#   varied by about 2x between runs); the largest
 #   gap between completions in the tests and the benchmark's reconstruct
 #   workload is under 500 nodes.
 # - FACTORING_CAP: at most sqrt(i) = 4,096 trial divisions.

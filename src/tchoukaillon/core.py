@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
 
 from .checked import MAX_BOARD_BINS, MAX_PERIOD_INDEX, PLAY_SEQUENCE_CAP, _Frozen, as_uint
 
@@ -86,22 +85,6 @@ class Board(_Frozen):
 EMPTY_BOARD = Board._trusted((), winning=True)
 
 
-def _bin_runs(n: int) -> Iterator[range]:
-    # Before bin i the remaining stones are i*q, with q = n before bin 1.
-    # With m = ceil(q/(i+1)), bin i holds first = (i+1)*m - q and q drops
-    # by m.  While m holds, each bin exceeds the one before by 2m; it
-    # holds for (i - first) // (2m - 1) + 1 bins.  The last run, with
-    # m = 1, is the forced tail ..., L-4, L-2, L.
-    i, q = 1, n
-    while q:
-        m = -(-q // (i + 1))
-        first = (i + 1) * m - q
-        steps = (i - first) // (2 * m - 1) + 1
-        yield range(first, first + 2 * m * steps, 2 * m)
-        i += steps
-        q -= steps * m
-
-
 def board_from_stones(n: int) -> Board:
     """The unique winning board with *n* stones, built without unplaying.
 
@@ -120,7 +103,31 @@ def board_from_stones(n: int) -> Board:
             f"the board with {n} stones may have up to {bound} bins, "
             f"beyond the budget of {MAX_BOARD_BINS}"
         )
-    return Board._trusted(tuple(itertools.chain.from_iterable(_bin_runs(n))), winning=True)
+    # Before bin i the remaining stones are i*q, with q = n before bin 1.
+    # With m = ceil(q/(i+1)), bin i holds first = (i+1)*m - q and q drops
+    # by m.  While m holds, each bin exceeds the one before by 2m; it
+    # holds for (i - first) // (2m - 1) + 1 bins, one bin when
+    # i - first < 2m - 1.  The last run, with m = 1, is the forced tail
+    # ..., L-4, L-2, L.  Near the Ruma the runs are single bins, which go
+    # into one list; from the first longer run on, each run stays a range
+    # until the one tuple is built.
+    head: list[int] = []
+    runs: list[range] = []
+    i, q = 1, n
+    while q:
+        k = i + 1
+        m = -(-q // k)
+        first = k * m - q
+        span = 2 * m - 1
+        if i - first < span and not runs:
+            head.append(first)
+            i, q = k, q - m
+        else:
+            steps = (i - first) // span + 1
+            runs.append(range(first, first + (span + 1) * steps, span + 1))
+            i += steps
+            q -= steps * m
+    return Board._trusted(tuple(itertools.chain(head, *runs)), winning=True)
 
 
 def leftmost_empty(board: Board) -> int:

@@ -17,10 +17,12 @@ parts: one that depends on the moduli alone (a gcd, a modular inverse and
 the checked period) and one line that folds in the value.  The running
 modulus at index i is lcm(2..i-1) on every branch, so the first part
 depends on i alone: the table of it for indices 2..88 is built once at
-import, and a node of the search costs one multiply-add.  The
-reconstructions solve each completion the search yields from the prefix
-it shares with the completion before, with the same table, so a fold
-there is one multiply-add too.
+import, and a node of the search costs one multiply-add.  The search is
+one loop over an explicit stack that holds a record only where an index
+has a count left to try, and it solves each completion's congruences at
+its last node, so :func:`reconstruct` reads n straight from it.  Only
+:func:`reconstruct_minimal` solves the completions again, from the prefix
+each shares with the one before, with the same table.
 """
 
 from __future__ import annotations
@@ -245,29 +247,35 @@ def board_from_shifted(values: Iterable[int]) -> Board:
 
 
 def _violating_pair(
-    system: list[Congruence], residues: list[int], periods: list[int]
+    system: list[Congruence], f: int, changes: list[tuple[int, int, int]]
 ) -> tuple[Congruence, Congruence]:
     # The first clashing pair (p, q) in index order.  The fold stopped at
-    # the first congruence f that clashes with its prefix, and residues[t],
-    # periods[t] solve system[:t+1] for t < f.  Congruences that agree
-    # pairwise agree as a system, so p < f <= q, and q clashes with one of
-    # system[:t+1] exactly when it clashes with their solution: a bisection
-    # over the prefix solutions finds each q's first p.  The probe is the
-    # gcd test alone, as a merge could pass the period budget.
-    p = q = f = len(residues)
+    # the first congruence f that clashes with its prefix, and changes[k]
+    # = (t, residue, period) solves system[:u+1] for t <= u < f up to the
+    # next change point.  Congruences that agree pairwise agree as a
+    # system, so p < f <= q, and q clashes with one of system[:u+1] exactly
+    # when it clashes with their solution.  That solution changes only at
+    # the change points, so the first u whose solution q clashes with is
+    # one of them, and it is q's first p: a bisection over the change
+    # points finds it.  The probe is the gcd test alone, as a merge could
+    # pass the period budget.
+    p = q = f
+    before = len(changes)  # the change points before p
     for j in range(f, len(system)):
-        if p == 0:
+        if not before:
             break  # no later pair comes first
         value, i = system[j].residue, system[j].modulus
-        lo, hi = 0, p
+        lo, hi = 0, before
         while lo < hi:
             mid = (lo + hi) // 2
-            if (value - residues[mid]) % math.gcd(periods[mid], i):
+            _, residue, period = changes[mid]
+            if (value - residue) % math.gcd(period, i):
                 hi = mid
             else:
                 lo = mid + 1
-        if lo < p:
-            p, q = lo, j
+        if lo < before:
+            before = lo
+            p, q = changes[lo][0], j
     return system[p], system[q]
 
 
@@ -294,26 +302,29 @@ def crt_solve(system: Iterable[Congruence]) -> tuple[int, int]:
     system = list(system)
     if not system:
         raise ValueError("empty congruence system")
-    # residues[t], periods[t]: the solution of system[:t+1].  The clash is
-    # tested before the step is made, so it is reported even where the
-    # period would pass 128 bits.
+    # changes[k] = (t, residue, period): the solution of system[:t+1], kept
+    # only where it changes.  A merge whose modulus i divides the period
+    # leaves residue and period as they were; any other at least doubles
+    # the period within 128 bits, so there are at most 128 entries.  The
+    # clash is tested before the step is made, so it is reported even
+    # where the period would pass 128 bits.
     residue, modulus = system[0].residue, system[0].modulus
-    residues, periods = [residue], [modulus]
-    for congruence in system[1:]:
-        value, i = congruence.residue, congruence.modulus
+    changes = [(0, residue, modulus)]
+    for t in range(1, len(system)):
+        value, i = system[t].residue, system[t].modulus
         g = math.gcd(modulus, i)
         if (value - residue) % g:
-            pair = _violating_pair(system, residues, periods)
+            pair = _violating_pair(system, t, changes)
             raise Infeasible(
                 f"congruences disagree: {pair[0]} vs {pair[1]} "
                 f"(mod gcd {math.gcd(pair[0].modulus, pair[1].modulus)})",
                 witness=pair,
             )
         _, step, inverse, period = _step(modulus, i, g)
-        residue += modulus * ((value - residue) // g * inverse % step)
-        modulus = period
-        residues.append(residue)
-        periods.append(modulus)
+        if step > 1:
+            residue += modulus * ((value - residue) // g * inverse % step)
+            modulus = period
+            changes.append((t, residue, modulus))
     return residue, modulus
 
 
@@ -394,11 +405,7 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
     index i may take exactly the counts c with total + c = residue modulo
     g = gcd(lcm(2..i-1), i), which by the allowable-realizable theorem are
     exactly the counts whose window conditions hold.  A constrained index
-    keeps its count only if it is among them.  The modulus at index i is
-    the same on every branch, so g, the inverse that folds a count in and
-    the next period come from the table built once at import; a node
-    folds in each count with one multiply-add, and a node at the top
-    index yields its completions itself.  Yields nothing when
+    keeps its count only if it is among them.  Yields nothing when
     the constraint is infeasible, and raises OverflowError on reaching
     index 89, where lcm(2..89) leaves the 128-bit range.  A branch that
     clashes only at a late constrained index can backtrack through
@@ -409,7 +416,29 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
     notices a broken one only at its last index, after trying every
     allowable prefix below it.  Windows ending at 89 or above are left to
     the search, which raises OverflowError at 89 before it reaches them.
+
+    The search also solves each completion's congruences at its last
+    node; this generator passes on the completions alone.
     """
+    for completion, _, _ in _search(pc):
+        yield completion
+
+
+def _search(pc: PartialConstraint) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    # The completions of complete_constraints, each with (minimal solution,
+    # period) of its congruences n = m_2 + ... + m_j (mod j), from one loop
+    # over an explicit stack.  The modulus at index i is lcm(2..i-1) on
+    # every branch, so g, the inverse that folds a count in and the next
+    # period come from the table built once at import, and a count is
+    # folded in with one multiply-add.  Index i is offered
+    # range((residue - total) % g, i, g).  Only an unconstrained index with
+    # g < i has more than one count (g divides i, so then at least two); it
+    # pushes a branch record [index, next count, total, residue, modulus].
+    # Every other index takes its one count, or at a constrained index
+    # none, and pushes nothing: that covers each index that is not a prime
+    # power, where g = i.  After a completion or a dead end the loop
+    # resumes the last record, truncating the values to its depth, and
+    # drops the record when it takes its last count.
     fixed = pc.as_dict()
     for i, _ in pc.entries:
         if i - 1 <= MAX_PERIOD_INDEX and i - 1 in fixed:
@@ -419,35 +448,46 @@ def complete_constraints(pc: PartialConstraint) -> Iterator[tuple[int, ...]]:
                     return
     top = pc.max_index
     if not top:
-        yield ()
+        yield (), 0, 1
         return
+    budget, steps, last = MAX_SEARCH_NODES, _STEPS, len(_STEPS) + 1
     values: list[int] = []
+    branches: list[list[int]] = []
     nodes = 0
-
-    def extend(i: int, total: int, residue: int, modulus: int) -> Iterator[tuple[int, ...]]:
-        nonlocal nodes
+    i, total, residue, modulus = 2, 0, 0, 1
+    while True:
         nodes += 1
-        if nodes > MAX_SEARCH_NODES:
-            raise RuntimeError(f"the completion search exceeded its budget of {MAX_SEARCH_NODES} nodes")
+        if nodes > budget:
+            raise RuntimeError(f"the completion search exceeded its budget of {budget} nodes")
         # Past the table, making the step of index 89 raises OverflowError.
-        g, step, inverse, period = _STEPS[i - 2] if i - 2 < len(_STEPS) else _step(modulus, i, math.gcd(modulus, i))
-        choices = range((residue - total) % g, i, g)
-        if i in fixed:
-            choices = (fixed[i],) if fixed[i] in choices else ()
-        if i == top:
-            for count in choices:
-                values.append(count)
+        g, step, inverse, period = steps[i - 2] if i <= last else _step(modulus, i, math.gcd(modulus, i))
+        count = (residue - total) % g
+        pinned = fixed.get(i)
+        if pinned is None:
+            if count + g < i:
+                branches.append([i, count + g, total, residue, modulus])
+        elif pinned % g == count and i < top:
+            count = pinned
+        else:
+            if pinned % g == count:  # the top index: a completion
+                values.append(pinned)
                 nodes = 0
-                yield tuple(values)
-                values.pop()
-            return
-        for count in choices:
-            values.append(count)
-            t = (total + count - residue) // g * inverse % step
-            yield from extend(i + 1, total + count, residue + modulus * t, period)
-            values.pop()
-
-    yield from extend(2, 0, 0, 1)
+                yield tuple(values), residue + modulus * ((total + pinned - residue) // g * inverse % step), period
+            if not branches:
+                return
+            branch = branches[-1]
+            i, count, total, residue, modulus = branch
+            g, step, inverse, period = steps[i - 2]
+            if count + g < i:
+                branch[1] = count + g
+            else:
+                branches.pop()
+            del values[i - 2 :]
+        values.append(count)
+        total += count
+        residue += modulus * ((total - residue) // g * inverse % step)
+        modulus = period
+        i += 1
 
 
 def _steps(top: int) -> list[tuple[int, int, int, int]]:
@@ -464,13 +504,17 @@ _STEPS = tuple(_steps(MAX_PERIOD_INDEX + 1))  # _STEPS[i - 2]: the step of index
 
 def _solve_completions(completions: Iterable[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], int, int]]:
     # Each completion with (minimal solution, period) of its congruences
-    # n = m_2 + ... + m_j (mod j).  Completions in search order share all
-    # but their last few counts, so the fold of each prefix is kept on a
-    # stack, and a completion is folded only from the first index where it
-    # differs from the one before, found by one C-level scan.  As in the
-    # search, each fold takes its index's step from the table built once at
-    # import, so it is one multiply-add.  The completions are allowable, so
-    # every fold is solvable.
+    # n = m_2 + ... + m_j (mod j).  The search knows these already; this
+    # second fold stays for reconstruct_minimal alone, which draws its
+    # completions through the module attribute complete_constraints, so
+    # that a tracer replacing that attribute sees and counts every one.
+    # Completions in search order share all but their last few counts, so
+    # the fold of each prefix is kept on a stack, and a completion is
+    # folded only from the first index where it differs from the one
+    # before, found by one C-level scan.  As in the search, each fold takes
+    # its index's step from the table built once at import, so it is one
+    # multiply-add.  The completions are allowable, so every fold is
+    # solvable.
     previous: tuple[int, ...] = ()
     folded = [(0, 1, 0)]  # folded[j]: (residue, period, total) over the first j counts
     for completion in completions:
@@ -492,8 +536,10 @@ def reconstruct(pc: PartialConstraint) -> tuple[int, Board]:
 
     The result is minimal for that completion's congruence system, not
     necessarily over all completions; see :func:`reconstruct_minimal`.
+    n is the solution the search has folded by that completion's last
+    node.
     """
-    for _, n, _ in _solve_completions(complete_constraints(pc)):
+    for _, n, _ in _search(pc):
         return n, board_from_stones(n)
     raise Infeasible(f"no allowable completion extends {pc.as_dict()}", witness=pc)
 

@@ -8,7 +8,11 @@ fill for prime-index constraints, which takes at each composite index the
 smallest count meeting its window congruences; the prime-power
 divisors found by testing every d < i, where the library factors i once;
 and the window check that re-sums each window, where the library takes
-differences of one running prefix sum.
+differences of one running prefix sum.  ``complete_recursive`` is the
+library's congruence-carrying search written with one recursive
+generator per index, each completion passed up through every level,
+node budget included; the library runs it as one loop over an explicit
+stack.
 The differential tests compare the library against them.
 """
 
@@ -18,8 +22,10 @@ import math
 from collections.abc import Iterable, Iterator
 
 from tchoukaillon import Board, Congruence, Infeasible, PartialConstraint, board_from_stones
+from tchoukaillon import crt
 from tchoukaillon.checked import as_uint
-from tchoukaillon.checked import COMPLETION_CAP
+from tchoukaillon.checked import COMPLETION_CAP, MAX_PERIOD_INDEX
+from tchoukaillon.crt import _STEPS, _prime_powers, _solve_completions, _step
 
 
 def _violating_pair(system: list[Congruence]) -> tuple[Congruence, Congruence]:
@@ -207,3 +213,74 @@ def prime_reconstruct(pc: PartialConstraint) -> tuple[int, Board]:
     if completion is None:
         return reconstruct(pc)
     return _realize(completion)
+
+
+def complete_recursive(pc: PartialConstraint, budget: float | None = None) -> Iterator[tuple[int, ...]]:
+    """The completions of *pc* by one recursive generator per index.
+
+    Counts nodes against *budget*, by default ``crt.MAX_SEARCH_NODES``
+    read when the search starts, as the library does: from the start or
+    the last completion.
+    The generator's return value is the smallest budget it runs to its
+    end with: the most nodes it visits before its first completion,
+    between two, or after its last.
+    """
+    fixed = pc.as_dict()
+    for i, _ in pc.entries:
+        if i - 1 <= MAX_PERIOD_INDEX and i - 1 in fixed:
+            for d in _prime_powers(i):
+                window = range(i - d + 1, i + 1)
+                if all(j in fixed for j in window) and sum(fixed[j] for j in window) % d:
+                    return 0
+    top = pc.max_index
+    if not top:
+        yield ()
+        return 0
+    if budget is None:
+        budget = crt.MAX_SEARCH_NODES
+    values: list[int] = []
+    nodes = peak = 0
+
+    def extend(i: int, total: int, residue: int, modulus: int) -> Iterator[tuple[int, ...]]:
+        nonlocal nodes, peak
+        nodes += 1
+        if nodes > budget:
+            raise RuntimeError(f"the completion search exceeded its budget of {budget} nodes")
+        g, step, inverse, period = _STEPS[i - 2] if i - 2 < len(_STEPS) else _step(modulus, i, math.gcd(modulus, i))
+        choices = range((residue - total) % g, i, g)
+        if i in fixed:
+            choices = (fixed[i],) if fixed[i] in choices else ()
+        if i == top:
+            for count in choices:
+                values.append(count)
+                peak = max(peak, nodes)
+                nodes = 0
+                yield tuple(values)
+                values.pop()
+            return
+        for count in choices:
+            values.append(count)
+            t = (total + count - residue) // g * inverse % step
+            yield from extend(i + 1, total + count, residue + modulus * t, period)
+            values.pop()
+
+    yield from extend(2, 0, 0, 1)
+    return max(peak, nodes)
+
+
+def search_budget(pc: PartialConstraint) -> tuple[list[tuple[int, ...]], int]:
+    """Every completion of the recursive search, and the smallest node budget it needs."""
+    search = complete_recursive(pc, math.inf)
+    completions = []
+    while True:
+        try:
+            completions.append(next(search))
+        except StopIteration as stop:
+            return completions, stop.value
+
+
+def reconstruct_recursive(pc: PartialConstraint) -> tuple[int, Board]:
+    """The first completion of the recursive search, solved by a second fold."""
+    for _, n, _ in _solve_completions(complete_recursive(pc)):
+        return n, board_from_stones(n)
+    raise Infeasible(f"no allowable completion extends {pc.as_dict()}", witness=pc)

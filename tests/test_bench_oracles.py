@@ -74,7 +74,7 @@ def test_traced_reference_pass_reports_every_per_layer_metric(tmp_path):
     metrics = tracer.metrics()
     assert expected - set(metrics) == set()
     # The tracer counts and times the crt search by replacing
-    # crt.complete_constraints, so the reconstructions must reach the search
+    # crt.complete_constraints, and reconstruct_minimal reaches the search
     # through that attribute.  The reference ops run two minimal queries:
     # {9: 2} in the library and {3: 1, 7: 2} through the CLI.
     minimal = [crt.PartialConstraint({9: 2}), crt.PartialConstraint({3: 1, 7: 2})]

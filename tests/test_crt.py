@@ -415,6 +415,33 @@ class TestSearchNodeBudget:
         with pytest.raises(RuntimeError, match=f"exceeded its budget of {budget - 1} nodes"):
             list(complete_constraints(pc))
 
+    # The work reconstruct does, counted in nodes beside the wall clock:
+    # it stops at its first completion, so it runs with the nodes the
+    # search visits up to there and is refused with one less.  The figures
+    # are those of test_budget_boundary's feasible constraints, fixed as
+    # theirs are; the infeasible one visits all its 113 nodes.
+    @pytest.mark.parametrize(
+        "entries, nodes",
+        [({12: 0}, 11), ({11: 3}, 10), ({9: 5, 6: 2}, 22), ({6: 0, 7: 1, 8: 1, 10: 1}, 30)],
+    )
+    def test_reconstruct_needs_the_nodes_of_its_first_completion(self, monkeypatch, entries, nodes):
+        pc = PartialConstraint(entries)
+        answer = reconstruct(pc)
+        monkeypatch.setattr(crt_module, "MAX_SEARCH_NODES", nodes)
+        assert reconstruct(pc) == answer
+        monkeypatch.setattr(crt_module, "MAX_SEARCH_NODES", nodes - 1)
+        with pytest.raises(RuntimeError, match=f"exceeded its budget of {nodes - 1} nodes"):
+            reconstruct(pc)
+
+    def test_infeasible_reconstruct_visits_every_node(self, monkeypatch):
+        pc = PartialConstraint({6: 0, 7: 1, 8: 1, 10: 0})
+        monkeypatch.setattr(crt_module, "MAX_SEARCH_NODES", 113)
+        with pytest.raises(Infeasible):
+            reconstruct(pc)
+        monkeypatch.setattr(crt_module, "MAX_SEARCH_NODES", 112)
+        with pytest.raises(RuntimeError, match="exceeded its budget of 112 nodes"):
+            reconstruct(pc)
+
 
 class TestReconstruct:
     def test_published_completion_gives_202(self):

@@ -6,12 +6,15 @@ is the tree the window-sum backtracking in ``crt_oracle`` walks, in the
 same order.  Completion lists, ``reconstruct``, ``reconstruct_minimal``
 (its cap included), ``prime_reconstruct``, ``crt_solve`` and the
 prime-power window conditions must agree with the oracle exactly,
-``Infeasible`` messages and witnesses included.
+``Infeasible`` messages and witnesses included.  The search, its node
+budget and ``reconstruct`` are also compared with the same search
+written as one recursive generator per index, ``crt_oracle.complete_recursive``.
 """
 
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -29,6 +32,7 @@ from tchoukaillon import (
     reconstruct,
     reconstruct_minimal,
 )
+from tchoukaillon import core as core_module
 from tchoukaillon import crt as crt_module
 from tchoukaillon.crt import _STEPS, _solve_completions, _steps, prime_power_divisors
 
@@ -155,6 +159,96 @@ def test_completion_cap_at_top_twelve():
 )
 def test_named_cases(entries):
     assert_same(PartialConstraint(entries))
+
+
+def drained(items, limit=None):
+    """What an iterator yields, up to *limit* items, and the error that ends it, if any."""
+    got = []
+    try:
+        for item in items:
+            got.append(item)
+            if len(got) == limit:
+                break
+    except (RuntimeError, OverflowError) as exc:
+        return got, (type(exc).__name__, str(exc))
+    return got, None
+
+
+def test_search_against_the_recursive_search(monkeypatch):
+    # The explicit-stack search yields what the recursive one did, and
+    # runs with the same smallest node budget: at that budget it yields
+    # every completion, and one below it is refused with the same message
+    # after yielding a prefix of them.
+    rng = random.Random(1616)
+    refused = infeasible = 0
+    for _ in range(3000):
+        top = rng.randint(2, 16)
+        others = rng.sample(range(2, top), min(rng.randint(3, 5), top - 2))
+        pc = PartialConstraint({i: rng.randrange(i) for i in [top] + others})
+        completions, budget = oracle.search_budget(pc)
+        infeasible += not completions
+        monkeypatch.setattr(crt_module, "MAX_SEARCH_NODES", budget)
+        assert drained(complete_constraints(pc)) == (completions, None), pc
+        if not budget:
+            continue  # a pinned window the pre-check refuses: no node is visited
+        monkeypatch.setattr(crt_module, "MAX_SEARCH_NODES", budget - 1)
+        got, error = drained(complete_constraints(pc))
+        assert error == ("RuntimeError", f"the completion search exceeded its budget of {budget - 1} nodes"), pc
+        assert got == completions[: len(got)], pc
+        refused += 1
+    assert 500 < infeasible < 2500 and refused > 1500
+
+
+def reconstruct_outcomes(monkeypatch, pc: PartialConstraint):
+    # reconstruct against the recursive search's first completion, solved
+    # by a second fold.  Both build their board
+    # with board_from_stones, so the board budget is lowered to 2^18 bins
+    # (n up to about 1.7e10): larger boards are refused at once, with the
+    # same message on both routes.
+    monkeypatch.setattr(core_module, "MAX_BOARD_BINS", 1 << 18)
+    return outcome(reconstruct, pc), outcome(oracle.reconstruct_recursive, pc)
+
+
+def test_reconstruct_against_the_recursive_route(monkeypatch):
+    # 2-3 constraints at indices 8-39: answers, Infeasible, board refusals
+    # and node-budget refusals (the budget lowered to 2^12 nodes, so that
+    # they come quickly) must all agree.
+    monkeypatch.setattr(crt_module, "MAX_SEARCH_NODES", 1 << 12)
+    rng = random.Random(5)
+    kinds = Counter()
+    for _ in range(400):
+        indices = rng.sample(range(8, 40), rng.randint(2, 3))
+        pc = PartialConstraint({i: rng.randrange(i) for i in indices})
+        got, expected = reconstruct_outcomes(monkeypatch, pc)
+        assert got == expected, pc
+        kinds[got[0] if got[0] != "OverflowError" else "board budget"] += 1
+    assert min(kinds[kind] for kind in ("ok", "Infeasible", "RuntimeError", "board budget")) > 0, kinds
+
+
+PINNED_N = 10**10  # its board has 177,244 bins, within the lowered board budget
+
+
+@pytest.mark.parametrize(
+    "entries, kind",
+    [
+        ({}, "ok"),
+        ({88: 0}, "ok"),
+        ({89: 0}, "OverflowError"),
+        ({16: 3, 34: 10}, "RuntimeError"),
+        (dict(enumerate(board_from_stones(PINNED_N).bins[:87], 2)), "ok"),
+    ],
+    ids=["empty", "88", "89", "16-34", "pinned-to-88"],
+)
+def test_named_cases_against_the_recursive_search(monkeypatch, entries, kind):
+    monkeypatch.setattr(crt_module, "MAX_SEARCH_NODES", 1 << 12)
+    pc = PartialConstraint(entries)
+    # {88: 0} has more completions than can be listed: compare the first few
+    assert drained(complete_constraints(pc), 5) == drained(oracle.complete_recursive(pc), 5)
+    got, expected = reconstruct_outcomes(monkeypatch, pc)
+    assert got == expected
+    assert got[0] == kind
+    if len(entries) == 87:
+        assert got[1:] == (PINNED_N, board_from_stones(PINNED_N).bins)
 
 
 def test_merge_step_at_every_index():
