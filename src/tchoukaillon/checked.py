@@ -100,12 +100,16 @@ class _Frozen:
     from them) and an ``__init__`` that checks its arguments and stores
     each slot once through ``object.__setattr__``; a derived slot may
     instead cache an answer computed later (``Board`` remembers whether
-    it is winning).  Equality, hashing and the repr use the fields in
-    order; instances of different classes are never equal.  Assignment
-    and deletion raise AttributeError.  A copy, shallow or deep, is the
-    value itself, as for ``tuple`` and ``frozenset``, so a board keeps
-    its known-winning mark.  Pickle rebuilds the value through the
-    constructor, which checks the fields again: unpickled bytes are input.
+    it is winning).  Values the library derives itself, one per board or
+    edge of a search, skip ``__init__``: they are made by
+    ``object.__new__`` and stored through each slot's own setter, bound
+    once at import (``GameEdge.__dict__["source"].__set__``).  Equality,
+    hashing and the repr use the fields in order; instances of different
+    classes are never equal.  Assignment and deletion raise
+    AttributeError.  A copy, shallow or deep, is the value itself, as for
+    ``tuple`` and ``frozenset``, so a board keeps its known-winning mark.
+    Pickle rebuilds the value through the constructor, which checks the
+    fields again: unpickled bytes are input.
     """
 
     __slots__ = ()

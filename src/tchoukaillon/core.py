@@ -48,11 +48,12 @@ class Board(_Frozen):
 
     @classmethod
     def _trusted(cls, bins: tuple[int, ...], winning: bool | None = None) -> "Board":
-        # Bins the library derived itself: trimmed, but not re-checked.
+        # Bins the library derived itself that may end in empty bins
+        # (play, crt.board_from_increasing): trimmed, but not re-checked.
         # *winning* is True only where the construction proves it.
-        board = object.__new__(cls)
-        object.__setattr__(board, "bins", _trim(bins))
-        object.__setattr__(board, "_winning", winning)
+        board = _new(cls)
+        _set_bins(board, _trim(bins))
+        _set_winning(board, winning)
         return board
 
     @property
@@ -82,7 +83,24 @@ class Board(_Frozen):
         return cls(tuple(data))
 
 
-EMPTY_BOARD = Board._trusted((), winning=True)
+# The slot setters of a board, bound once: the builders of winning boards
+# make one per call, through object.__new__ and these, without __init__.
+_new = object.__new__
+_set_bins = Board.__dict__["bins"].__set__
+_set_winning = Board.__dict__["_winning"].__set__
+
+
+def _winning_board(bins: tuple[int, ...]) -> Board:
+    # A winning board whose bins the library derived, ending in a nonzero
+    # bin or empty, as board_from_stones, unplay and length's walk build
+    # them: neither trimmed nor re-checked.
+    board = _new(Board)
+    _set_bins(board, bins)
+    _set_winning(board, True)
+    return board
+
+
+EMPTY_BOARD = _winning_board(())
 
 
 def board_from_stones(n: int) -> Board:
@@ -127,7 +145,8 @@ def board_from_stones(n: int) -> Board:
             runs.append(range(first, first + (span + 1) * steps, span + 1))
             i += steps
             q -= steps * m
-    return Board._trusted(tuple(itertools.chain(head, *runs)), winning=True)
+    # The last bin holds as many stones as its index, so no bin is trimmed.
+    return _winning_board(tuple(itertools.chain(head, *runs)))
 
 
 def leftmost_empty(board: Board) -> int:
@@ -165,7 +184,7 @@ def is_winning(board: Board) -> bool:
     winning = board._winning
     if winning is None:
         winning = _winning_bins(board.bins)
-        object.__setattr__(board, "_winning", winning)
+        _set_winning(board, winning)
     return winning
 
 
@@ -182,7 +201,8 @@ def unplay(board: Board) -> Board:
     p = leftmost_empty(board)
     bins = board.bins
     filled = tuple(count - 1 for count in bins[: p - 1]) + (p,)
-    return Board._trusted(filled + bins[p:], winning=True)
+    # The last bin is p or the board's own last bin, neither of them empty.
+    return _winning_board(filled + bins[p:])
 
 
 def play(board: Board) -> tuple[Board, int]:

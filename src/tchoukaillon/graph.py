@@ -19,7 +19,7 @@ from operator import add, itemgetter, sub
 
 from .checked import DEFAULT_BOARD_CAP, MAX_BOARD_BINS, MAX_VERTICES, MAX_WALK_STEPS, _Frozen, as_uint
 
-# object.__setattr__, looked up once: a game search builds a value per board and edge.
+# object.__setattr__, looked up once, for the constructors below.
 _set = object.__setattr__
 
 
@@ -145,8 +145,8 @@ class GraphBoard(_Frozen):
     @classmethod
     def _trusted(cls, labels: tuple[int, ...]) -> "GraphBoard":
         # Labels the library derived itself: not re-checked.
-        board = object.__new__(cls)
-        _set(board, "labels", labels)
+        board = _new(cls)
+        _set_labels(board, labels)
         return board
 
 
@@ -192,6 +192,16 @@ class GameGraph(_Frozen):
         _set(self, "boards", boards)
         _set(self, "edges", edges)
         _set(self, "truncated", truncated)
+
+
+# The slot setters of a board and an edge, bound once: a game search
+# builds one board per board found and one edge per sowing board and
+# target, through object.__new__ and these, without a call to __init__.
+_new = object.__new__
+_set_labels = GraphBoard.__dict__["labels"].__set__
+_set_source = GameEdge.__dict__["source"].__set__
+_set_target = GameEdge.__dict__["target"].__set__
+_set_moves = GameEdge.__dict__["moves"].__set__
 
 
 def _check_board(graph: SowingGraph, board: GraphBoard) -> None:
@@ -466,11 +476,12 @@ def _part_game(
     is_ruma: list[bool],
     rumas: frozenset[int],
     budget: int,
-) -> tuple[list[tuple[int, ...]], list[tuple], int]:
+) -> tuple[list[tuple[int, ...]], list[list[tuple]], int]:
     # Breadth-first closure of unplaying from the empty board, walks
     # starting only on *starts*.  Returns the boards' full vertex labels
-    # in discovery order; one (target, source, (move,)) per sow move, by
-    # source and then in (v, r, path) order; and the step budget left.
+    # in discovery order; out[i], the sows from board i as (target,
+    # (move,)), by target and then in (v, r, path) order; and the step
+    # budget left.
     n = len(is_ruma)
     is_start = [False] * n
     for v in starts:
@@ -478,7 +489,7 @@ def _part_game(
     # Ruma labels stay 0, since unplaying only ever takes captured stones back.
     keys = [(0,) * n]
     index = {keys[0]: 0}
-    sows: list[tuple] = []
+    out: list[list[tuple]] = [[]]
     # walks holds the one (move,) of each distinct walk, shared by every
     # edge that uses it; a walk starts on this part's bins, so no other
     # part has it.
@@ -501,12 +512,13 @@ def _part_game(
                     continue
                 grown = index[key] = len(keys)
                 keys.append(key)
+                out.append([])
             walk = walks.get(path)
             if walk is None:
                 walk = walks[path] = (Move(v, r, path),)
-            sows.append((grown, yi, walk))
+            out[grown].append((yi, walk))
         yi += 1
-    return keys, sows, budget
+    return keys, out, budget
 
 
 def _path_line(
@@ -535,7 +547,7 @@ def _path_line(
 
 def _path_game(
     line: tuple[int, ...], n: int, cap: int, budget: int
-) -> tuple[list[tuple[int, ...]], list[tuple], int]:
+) -> tuple[list[tuple[int, ...]], list[list[tuple]], int]:
     # The game of a path part, line = (r, v_1, ..., v_L), returned as
     # _part_game returns it.  It is the linear game: a board has one
     # unplay while a bin is empty, which fills the leftmost empty bin v_p
@@ -556,7 +568,7 @@ def _path_game(
         where[v] = i
     labels_of = itemgetter(*where)
     keys = [labels_of(row)]
-    sows: list[tuple] = []
+    out: list[list[tuple]] = [[]]
     # moves[p]: the one (move,) of the walk from v_p, shared by its edges;
     # no other part has a walk from these bins.
     moves: list[tuple[Move] | None] = [None] * len(line)
@@ -575,63 +587,72 @@ def _path_game(
         if walk is None:
             path = line[p::-1]
             walk = moves[p] = (Move(line[p], line[0], path),)
-        sows.append((len(keys) - 1, len(keys) - 2, walk))
+        out.append([(len(keys) - 2, walk)])
         p = row.index(0, 1)
-    return keys, sows, budget
+    return keys, out, budget
 
 
-def _product_game(games: list[tuple], cap: int, budget: int) -> tuple[list[tuple[int, ...]], list[tuple]]:
+def _product_game(
+    games: list[tuple], cap: int, budget: int
+) -> tuple[list[tuple[int, ...]], list[list[tuple]]]:
     # The game of independent parts, breadth-first over its boards, each
     # a choice of one board per part.  A board's unplays are its parts'
     # unplays, each part's in (v, r, path) order; the parts own disjoint
     # vertices, so a stable sort by v gives the order a search of the
     # whole board finds them in, and the boards are discovered in the
     # same order.  A board is keyed by the mixed-radix number of its part
-    # boards (part p's board is key // strides[p] % its board count), so a
-    # move adds a fixed step to the key and changes the labels of its own
-    # part only.  Each move costs the budget one step per part, less than
-    # a search of the whole board pays for it.  Returns the boards' vertex
-    # labels and the sows, as _part_game does.
-    # rows[p][i]: the moves of part p's board i, as (v, key step, (move,), label change).
-    rows = []
-    strides = []
+    # boards (part p's board is key // stride % size), so a move adds a
+    # fixed step to the key and changes the labels of its own part only.
+    # Each move costs the budget one step per part, less than a search of
+    # the whole board pays for it.  Returns the boards' vertex labels and
+    # the sows from each board, as _part_game does.
+    # parts[p]: (row, stride, size), row[i] holding the unplays of part
+    # p's board i as (v, key step, (move,), label change).  A part files
+    # each move under the board that sows it, so a row is put back in
+    # (v, r, path) order, the order of its (move,) tuples.
+    parts = []
     stride = 1
-    for part_keys, part_sows in games:
+    for part_keys, part_out in games:
         row: list[list[tuple]] = [[] for _ in part_keys]
-        for grown, source, walk in part_sows:
-            change = tuple(map(sub, part_keys[grown], part_keys[source]))
-            row[source].append((walk[0].vertex, (grown - source) * stride, walk, change))
-        rows.append(row)
-        strides.append(stride)
+        for grown, sows in enumerate(part_out):
+            for source, walk in sows:
+                change = tuple(map(sub, part_keys[grown], part_keys[source]))
+                row[source].append((walk[0].vertex, (grown - source) * stride, walk, change))
+        for moves in row:
+            moves.sort(key=itemgetter(2))
+        parts.append((row, stride, len(part_keys)))
         stride *= len(part_keys)
+    vertex = itemgetter(0)
     # The empty board: every part on its first board.
     codes = [0]
     boards = [games[0][0][0]]
     index = {0: 0}
-    sows: list[tuple] = []
-    vertex = itemgetter(0)
-    yi = 0
-    while yi < len(codes):
-        code = codes[yi]
+    out: list[list[tuple]] = [[]]
+    count = 1
+    # codes grows as boards are found; the loop reaches each in turn.
+    for yi, code in enumerate(codes):
         found = []
-        for row, stride in zip(rows, strides):
-            found += row[code // stride % len(row)]
-        budget -= len(found) * len(rows)
+        for row, stride, size in parts:
+            found += row[code // stride % size]
+        budget -= len(found) * len(parts)
         if budget < 0:
             raise _budget_refusal()
         found.sort(key=vertex)
+        board = boards[yi]
         for _, step, walk, change in found:
             key = code + step
             grown = index.get(key)
             if grown is None:
-                if len(codes) >= cap:
+                if count >= cap:
                     raise _cap_refusal(cap)
-                grown = index[key] = len(codes)
+                index[key] = count
+                count += 1
                 codes.append(key)
-                boards.append(tuple(map(add, boards[yi], change)))
-            sows.append((grown, yi, walk))
-        yi += 1
-    return boards, sows
+                boards.append(tuple(map(add, board, change)))
+                out.append([(yi, walk)])
+            else:
+                out[grown].append((yi, walk))
+    return boards, out
 
 
 def enumerate_winning_boards(graph: SowingGraph, cap: int = DEFAULT_BOARD_CAP) -> GameGraph:
@@ -655,8 +676,9 @@ def enumerate_winning_boards(graph: SowingGraph, cap: int = DEFAULT_BOARD_CAP) -
     numbering) plays the linear game, and is built as its chain of
     boards without the walk search: each board's one unplay fills the
     leftmost empty bin.  It is charged the steps the search would spend
-    on it, so refusals come where they would.  The edges are gathered in
-    one bucket per source board.
+    on it, so refusals come where they would.  Each move is filed under
+    the board that sows it as it is found, and the edges are read off
+    those lists in one pass.
     """
     if as_uint(cap, "board cap") < 1:
         raise ValueError("cap must be >= 1")
@@ -675,37 +697,44 @@ def enumerate_winning_boards(graph: SowingGraph, cap: int = DEFAULT_BOARD_CAP) -
     for starts in _parts(graph, on_cycle, sink_rumas):
         line = sink_rumas and _path_line(starts, graph.successors, predecessors, is_ruma)
         if line:
-            keys, sows, budget = _path_game(line, n, cap, budget)
+            keys, out, budget = _path_game(line, n, cap, budget)
         else:
-            keys, sows, budget = _part_game(
+            keys, out, budget = _part_game(
                 starts, finite, cap, on_cycle, predecessors, is_ruma, graph.ruma, budget
             )
-        games.append((keys, sows))
+        games.append((keys, out))
     if len(games) == 1:
-        keys, sows = games[0]
+        keys, out = games[0]
     else:
-        keys, sows = _product_game(games, cap, budget)
-    # One bucket of (target, (move,)) per source board.  Targets were
-    # expanded in index order and each board's moves found in (v, r, path)
-    # order, so a bucket holds its edges in order and each edge's walks
-    # side by side.  A one-move edge keeps its walk's shared (move,); the
-    # walks of a longer edge are gathered by the edge's index and joined.
-    buckets: list[list[tuple]] = [[] for _ in keys]
-    for source, target, walk in sows:
-        buckets[source].append((target, walk))
+        keys, out = _product_game(games, cap, budget)
+    boards = []
+    for key in keys:
+        board = _new(GraphBoard)
+        _set_labels(board, key)
+        boards.append(board)
+    # out[i] holds the sows from board i as (target, (move,)).  Targets
+    # were expanded in index order and each one's moves found in
+    # (v, r, path) order, so a list holds its edges in order and each
+    # edge's walks side by side.  A one-move edge keeps its walk's shared
+    # (move,); the walks of a longer edge are gathered by the edge's
+    # index and joined once every edge is built.
     edges = []
     merged: dict[int, list[tuple[Move]]] = {}
-    for source, bucket in enumerate(buckets):
+    for source, sows in enumerate(out):
         last = -1
-        for target, walk in bucket:
+        for target, walk in sows:
             if target != last:
-                edges.append(GameEdge(source, target, walk))
+                edge = _new(GameEdge)
+                _set_source(edge, source)
+                _set_target(edge, target)
+                _set_moves(edge, walk)
+                edges.append(edge)
                 last = target
             else:
-                merged.setdefault(len(edges) - 1, [edges[-1].moves]).append(walk)
+                merged.setdefault(len(edges) - 1, [edge.moves]).append(walk)
     for i, walks_of_edge in merged.items():
-        edges[i] = GameEdge(edges[i].source, edges[i].target, tuple(chain.from_iterable(walks_of_edge)))
-    return GameGraph(tuple(map(GraphBoard._trusted, keys)), tuple(edges), truncated=not finite)
+        _set_moves(edges[i], tuple(chain.from_iterable(walks_of_edge)))
+    return GameGraph(tuple(boards), tuple(edges), truncated=not finite)
 
 
 def make_path(length: int) -> SowingGraph:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .checked import MAX_BOARD_BINS, SEQUENCE_CAP, UINT128_MAX, as_uint
-from .core import EMPTY_BOARD, Board, _stage_element
+from .core import EMPTY_BOARD, Board, _stage_element, _winning_board
 
 
 def enumerate_boards(length: int) -> Iterator[Board]:
@@ -51,7 +51,8 @@ def _walk(length: int) -> Iterator[Board]:
             bins[i - 1] = count
             suffix += count
             i -= 1
-        yield Board._trusted(tuple(bins), winning=True)
+        # The last bin holds length stones, so the bins need no trim.
+        yield _winning_board(tuple(bins))
         if not branches:
             return
         i, suffix = branches.pop()

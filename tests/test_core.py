@@ -11,7 +11,11 @@ from tchoukaillon import core
 
 from tchoukaillon import (
     Board,
+    IncreasingRemainderBoard,
+    board_from_increasing,
     board_from_stones,
+    enumerate_boards,
+    increasing_remainder_board,
     is_winning,
     leftmost_empty,
     minimal_period,
@@ -29,6 +33,27 @@ class TestBoard:
         assert Board((1, 2, 0)).bins == (1, 2)
         assert Board((0, 0)).bins == ()
         assert Board() == Board((0,))
+
+    def test_play_and_lift_trim_their_empty_last_bins(self):
+        # play empties its last bin when it sows it, and a lift whose last
+        # two values are equal ends in an empty bin: both are trimmed
+        assert play(Board((1,)))[0].bins == ()
+        assert play(Board((0, 1, 3)))[0].bins == (1, 2)
+        lift = increasing_remainder_board(3, 5)
+        assert lift.values == (1, 3, 3, 3)
+        assert board_from_increasing(lift).bins == (1, 2)
+        assert board_from_increasing(IncreasingRemainderBoard((1, 1))).bins == (1,)
+
+    def test_winning_builders_end_in_a_nonzero_bin(self):
+        # board_from_stones, unplay and enumerate_boards build their boards
+        # untrimmed: each must already be in the trimmed form
+        boards = [board_from_stones(n) for n in range(400)]
+        board = core.EMPTY_BOARD
+        for _ in range(400):
+            board = unplay(board)
+            boards.append(board)
+        boards += [b for length in range(13) for b in enumerate_boards(length)]
+        assert all(b.bins == Board(b.bins).bins for b in boards)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

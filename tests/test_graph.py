@@ -365,6 +365,16 @@ class TestBudgets:
         assert len(part_boards) == 4 * min_stones(6) == 48
         assert sorted(set(part_boards)) == [("path", tuple(range(1 + 5 * s, 6 + 5 * s))) for s in range(4)]
 
+    def test_product_budget_boundary(self, monkeypatch):
+        # make_star(4, 5) costs 305,272 steps: 1,144 for its spokes' chains
+        # and 4 per product move, one per spoke; a step less and the
+        # product pass is refused
+        monkeypatch.setattr(graph_module, "MAX_WALK_STEPS", 305_272)
+        assert len(enumerate_winning_boards(make_star(4, 5), cap=30_000).boards) == 20_736
+        monkeypatch.setattr(graph_module, "MAX_WALK_STEPS", 305_271)
+        with pytest.raises(RuntimeError, match=r"^the unplay walk search exceeded its budget of 305271 steps$"):
+            enumerate_winning_boards(make_star(4, 5), cap=30_000)
+
     @pytest.mark.parametrize(
         "graph,cap,steps",
         [(make_path(16), 10_000, 2_418), (make_star(3, 1), 10_000, 84), (make_cycle(5), 30, 766)],

@@ -267,7 +267,7 @@ def test_random_factoring_graphs(part_boards):
     # of the product.  The parts of one bin are searched together, and
     # with fewer than two bins feeding a Ruma the whole board is the one
     # part.
-    products = refusals = fewer = paths = 0
+    products = refusals = fewer = paths = merged = 0
     for seed in range(60):
         rng = random.Random(seed)
         graph, parts = factoring_graph(rng)
@@ -294,7 +294,10 @@ def test_random_factoring_graphs(part_boards):
         products += 1
         fewer += len(part_boards) < len(game.boards)
         paths += any(builder == "path" for builder, _ in part_boards)
-    assert products >= 25 and refusals >= 10 and fewer >= 20 and paths >= 10
+        # products with an edge of two or more walks, joined from the sows
+        # filed under their sowing board
+        merged += len(parts) > 1 and any(len(edge.moves) > 1 for edge in game.edges)
+    assert products >= 25 and refusals >= 10 and fewer >= 20 and paths >= 10 and merged >= 5
 
 
 @pytest.mark.parametrize("length,limit", [(3, 30), (4, 50), (5, 80), (6, 100), (2, 12)])
