@@ -30,7 +30,8 @@ MAX_BOARD_BINS = 1 << 24        # bins built: core.board_from_stones, length, cr
 #                                 boards times vertices: graph.cycle_attained_counts
 MAX_PERIOD_INDEX = 87           # i with lcm(2..i+1) in 128 bits: core.minimal_period, crt
 SEQUENCE_CAP = 1 << 15          # terms, ValueError: length.min_stones_sequence
-SCAN_CAP = 1_000_000            # stone counts, RuntimeError: sieve.sieve_stage
+SCAN_CAP = 1_000_000            # stone counts, RuntimeError: sieve.sieve_stage;
+#                                 stone counts sieved, no error: length.min_stones_sequence
 COMPLETION_CAP = 1_000_000      # completions, counted, RuntimeError: crt.reconstruct_minimal
 MAX_SEARCH_NODES = 1 << 20      # nodes per completion, counted, RuntimeError: crt.complete_constraints
 CONDITIONS_CAP = 1 << 17        # prefix index: crt.consistency_conditions, allowable_check
@@ -48,7 +49,12 @@ MAX_WALK_STEPS = 1 << 22        # walk steps, counted, RuntimeError: graph.enume
 #   search leaves 128 bits at its shifted index MAX_PERIOD_INDEX + 2 = 89.
 #   crt builds its merge-step table once at import, for the shifted
 #   indices 2..MAX_PERIOD_INDEX + 1 = 88; the step of 89 is the refusal.
-# - SEQUENCE_CAP: a term costs about L^(2/3) steps; 32,768 take about 3 s.
+# - SEQUENCE_CAP: the terms past SCAN_CAP (1772 on) are climbed, each
+#   about L^(2/3) steps; 32,768 take 3.4-3.8 s (CPython 3.11.7, 2-CPU
+#   Xeon), as when every term was climbed.
+# - SCAN_CAP: sieve_stage holds at most scan_cap/2 ints, up to 21 MiB of
+#   peak RSS.  min_stones_sequence tiles stage 6 up to it, at most
+#   166,670 4-byte entries (0.67 MB), and climbs the terms past it.
 # - CONDITIONS_CAP: ~3.4 conditions per index: 441,212 pairs, 37 MB, 1 s.
 # - MAX_SEARCH_NODES: counted from the last completion yielded (or the
 #   start), so reconstruct_minimal's completion cap stays exact.  The

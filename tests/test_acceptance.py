@@ -107,7 +107,7 @@ def test_criterion_05_sieve():
     for k in range(1, 7):
         stepped = sieve_step(sieve_stage(k, 100), k)
         assert stepped == sieve_stage(k + 1, len(stepped))
-    assert [sieve_stage(k, 1)[0] for k in range(1, 21)] == min_stones_sequence(20)
+    assert [sieve_stage(k, 1)[0] for k in range(1, 201)] == min_stones_sequence(200)
     ok(5, "sieve rows, stage-step consistency, and first-element linkage exact")
 
 

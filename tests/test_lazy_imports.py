@@ -148,6 +148,18 @@ def test_table_format_loads_no_json(argv, path3):
     assert loaded_of({"json"}, argv, path3) == []
 
 
+# `array` is loaded by the calls that list moves or terms (play_sequence,
+# min_stones_sequence), not by the commands that print one answer.
+@pytest.mark.parametrize("argv", [("nf", "6"), ("nf", "6", "--bounds"), ("board", "15")], ids=" ".join)
+def test_single_answer_commands_load_no_array(argv, path3):
+    assert loaded_of({"array"}, argv, path3) == []
+
+
+def test_sequence_command_loads_array(path3):
+    # The check above would pass vacuously if the child never reported it.
+    assert loaded_of({"array"}, ("nf", "--sequence", "10"), path3) == ["array"]
+
+
 # The names a tracer wraps on the cli module, each with a command that calls it.
 TRACED = {
     "board_from_stones": ["board", "15"],

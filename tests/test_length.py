@@ -1,8 +1,10 @@
 import math
 import time
+import tracemalloc
 
 import pytest
 
+from tchoukaillon import length as length_module
 from tchoukaillon import (
     Board,
     board_from_stones,
@@ -14,6 +16,15 @@ from tchoukaillon import (
 )
 
 from golden import INITIAL_BOARDS, MIN_STONES_PREFIX
+
+
+def forbidden(name):
+    """A stand-in for *name* that fails the test if it is called."""
+
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} called before the refusal")
+
+    return call
 
 
 class TestEnumerateBoards:
@@ -45,8 +56,9 @@ class TestEnumerateBoards:
         assert all(is_winning(Board(board.bins)) for board in boards[:: len(boards) // 20])
 
     @pytest.mark.parametrize("length", [4000, 10**5, 2**24 + 1, 10**12])
-    def test_budget_refuses_promptly(self, length):
+    def test_budget_refuses_promptly(self, length, monkeypatch):
         # 4000 has 5,026 boards: 20.1M bins in all, past the 2^24 budget
+        monkeypatch.setattr(length_module, "_walk", forbidden("_walk"))
         start = time.perf_counter()
         with pytest.raises(OverflowError, match=f"boards of length {length} pass the budget"):
             list(enumerate_boards(length))
@@ -124,13 +136,28 @@ class TestMinStones:
             min_stones_sequence(2**24 + 1)
         assert time.perf_counter() - start < 0.5
 
-    def test_sequence_cap_refuses_before_the_first_term(self):
+    def test_sequence_cap_refuses_before_the_first_term(self, monkeypatch):
         # Inside the length budget, 2^24 terms would take about three days.
+        monkeypatch.setattr(length_module, "_stage_element", forbidden("_stage_element"))
         start = time.perf_counter()
         for length in (2**15 + 1, 2**24):
             with pytest.raises(ValueError, match=f"max_length={length} above the cap of {2**15} terms"):
                 min_stones_sequence(length)
         assert time.perf_counter() - start < 0.05
+
+    def test_sequence_sieves_no_more_than_the_scan_cap(self, monkeypatch):
+        # At a scan cap of 3000 stage 6 is 500 entries, 2 kB, and the
+        # 1000 terms about 40 kB; tiled up to min_stones(1000) = 318,570
+        # instead, the stage alone would take 212 kB.
+        min_stones_sequence(6)  # loads array before the count starts
+        monkeypatch.setattr(length_module, "SCAN_CAP", 3000)
+        tracemalloc.start()
+        try:
+            assert min_stones_sequence(1000)[-1] == min_stones(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_sequence_cap_is_a_parameter(self):
         assert min_stones_sequence(7, cap=7) == MIN_STONES_PREFIX

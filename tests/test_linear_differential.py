@@ -2,10 +2,12 @@
 
 ``board_from_stones`` walks runs of bins, ``min_stones`` runs of equal
 ceiling steps, ``sieve_stage`` the position rule up to its last
-element, ``play_sequence`` the same rule over every stone count, and
-``enumerate_boards`` one loop over the bins, and refuses at the call
-the lengths whose boards pass the bin budget; each must agree exactly
-with the slow form it replaced, kept in ``linear_oracle``.
+element, ``play_sequence`` the same rule over every stone count,
+``min_stones_sequence`` the rule from a tiled stage 6 up to the scan cap
+and the climb past it, and ``enumerate_boards`` one loop over the bins,
+and refuses at the call the lengths whose boards pass the bin budget;
+each must agree exactly with the slow form it replaced, kept in
+``linear_oracle``.
 """
 
 import math
@@ -20,6 +22,7 @@ from tchoukaillon import (
     check_bounds,
     enumerate_boards,
     min_stones,
+    min_stones_sequence,
     minimal_period,
     play_sequence,
     sieve_stage,
@@ -68,6 +71,25 @@ def test_min_stones_seeded_up_to_ten_to_the_five():
     for _ in range(20):
         length = rng.randint(1, 10**5)
         assert min_stones(length) == min_stones_by_loop(length), length
+
+
+def test_min_stones_sequence_across_the_tile_start_and_the_hand_off():
+    # Terms 1-5 are a table and stage 6 is tiled from term 6 on; at the
+    # default scan cap term 1771 (999,634) is the last one sieved.
+    loop = [min_stones_by_loop(length) for length in range(1, 1781)]
+    assert loop[1770] <= 10**6 < loop[1771]
+    for max_length in [*range(1, 81), *range(1765, 1781)]:
+        assert min_stones_sequence(max_length) == loop[:max_length], max_length
+
+
+@pytest.mark.parametrize("scan_cap", [59, 60, 61, 119, 1000])
+def test_min_stones_sequence_hands_off_at_any_scan_cap(monkeypatch, scan_cap):
+    # A small cap empties the tiled stage early, so the climb takes over
+    # at a different term for each cap, within one period or many.
+    loop = [min_stones_by_loop(length) for length in range(1, 301)]
+    monkeypatch.setattr(length_module, "SCAN_CAP", scan_cap)
+    for max_length in range(1, 301):
+        assert min_stones_sequence(max_length) == loop[:max_length], max_length
 
 
 def test_check_bounds_closed_form():
