@@ -50,26 +50,39 @@ class SowingGraph(_Frozen):
         if as_uint(vertex_count, "vertex count") < 1:
             raise ValueError("a sowing graph needs at least one vertex")
         _check_vertex_budget(vertex_count)
-        edge_list = []
+        # One loop checks each edge's shape and bounds and files it under
+        # its source.  An endpoint that is not an int in range goes through
+        # as_uint, to raise its error.  Faults are reported in a fixed
+        # order: an edge's shape or endpoint type (the first such edge),
+        # then parallel edges, then an endpoint past the last vertex.
+        out: list[list[int]] = [[] for _ in range(vertex_count)]
+        pairs = []
+        missing = False
         for edge in edges:
             if not isinstance(edge, (tuple, list)) or len(edge) != 2:
                 raise ValueError(f"an edge is a (source, target) pair, got {edge!r}")
-            edge_list.append((as_uint(edge[0], "edge source"), as_uint(edge[1], "edge target")))
-        edges = frozenset(edge_list)
-        if len(edges) < len(edge_list):
-            raise ValueError("parallel edges are not allowed")
-        out: dict[int, list[int]] = {v: [] for v in range(vertex_count)}
-        for a, b in edges:
-            if not (a < vertex_count and b < vertex_count):
-                raise ValueError(f"edge ({a}, {b}) references a missing vertex")
+            a, b = edge
+            pairs.append((a, b))
+            if not (a.__class__ is int and b.__class__ is int and 0 <= a < vertex_count and 0 <= b < vertex_count):
+                as_uint(a, "edge source")
+                as_uint(b, "edge target")
+                if not (a < vertex_count and b < vertex_count):
+                    missing = True
+                    continue
             out[a].append(b)
+        edges = frozenset(pairs)
+        if len(edges) < len(pairs):
+            raise ValueError("parallel edges are not allowed")
+        if missing:
+            a, b = next((a, b) for a, b in edges if not (a < vertex_count and b < vertex_count))
+            raise ValueError(f"edge ({a}, {b}) references a missing vertex")
         ruma = frozenset(as_uint(r, "Ruma vertex") for r in ruma)
         if not ruma:
             raise ValueError("the Ruma set must be nonempty")
         for r in ruma:
             if r >= vertex_count:
                 raise ValueError(f"Ruma vertex {r} does not exist")
-        self._store(vertex_count, edges, ruma, {v: tuple(sorted(ws)) for v, ws in out.items()})
+        self._store(vertex_count, edges, ruma, {v: tuple(sorted(ws)) for v, ws in enumerate(out)})
 
     @classmethod
     def _trusted(
@@ -285,12 +298,16 @@ def _cycles(graph: SowingGraph) -> tuple[tuple[int, int] | None, list[bool]]:
     # as it is popped.  The finiteness witness is the smallest Ruma and the
     # smallest bin of the first popped component holding both, or None;
     # on_cycle[v] says v lies on a directed cycle: its component has
-    # another vertex, or v has a self-loop.
+    # another vertex, or v has a self-loop.  work holds (v, the iterator
+    # over v's successors, v's place on the component stack), so a visit
+    # resumes where it broke off.  index_of[v] is -1 before v is visited
+    # and n once its component is popped, which no low link exceeds, so a
+    # settled vertex needs no on-stack mark.  A component of one vertex is
+    # settled by a self-loop test, and only a larger one is listed.
     n = graph.vertex_count
     successors = graph.successors
     index_of = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     on_cycle = [False] * n
     stack: list[int] = []
     witness = None
@@ -298,36 +315,41 @@ def _cycles(graph: SowingGraph) -> tuple[tuple[int, int] | None, list[bool]]:
     for root in range(n):
         if index_of[root] != -1:
             continue
-        work = [(root, 0)]
+        index_of[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(successors[root]), 0)]
         while work:
-            v, edge_pos = work.pop()
-            if edge_pos == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            succ = successors[v]
-            for edge_pos in range(edge_pos, len(succ)):
-                w = succ[edge_pos]
-                if index_of[w] == -1:
-                    work += ((v, edge_pos + 1), (w, 0))
+            v, succ, base = work[-1]
+            for w in succ:
+                x = index_of[w]
+                if x < 0:
+                    index_of[w] = low[w] = counter
+                    counter += 1
+                    work.append((w, iter(successors[w]), len(stack)))
+                    stack.append(w)
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
+                if x < low[v]:
+                    low[v] = x
             else:
-                if low[v] == index_of[v]:
-                    component = [stack.pop()]
-                    while component[-1] != v:
-                        component.append(stack.pop())
+                work.pop()
+                if low[v] < index_of[v]:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                elif len(stack) == base + 1:
+                    stack.pop()
+                    index_of[v] = n
+                    on_cycle[v] = v in successors[v]
+                else:
+                    component = stack[base:]
+                    del stack[base:]
                     for w in component:
-                        on_stack[w] = False
-                        on_cycle[w] = len(component) > 1 or (w, w) in graph.edges
+                        index_of[w] = n
+                        on_cycle[w] = True
                     rumas = [w for w in component if w in graph.ruma]
                     if witness is None and rumas and len(rumas) < len(component):
                         witness = min(rumas), min(w for w in component if w not in graph.ruma)
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
     return witness, on_cycle
 
 
@@ -597,10 +619,10 @@ def _product_game(
 ) -> tuple[list[tuple[int, ...]], list[list[tuple]]]:
     # The game of independent parts, breadth-first over its boards, each
     # a choice of one board per part.  A board's unplays are its parts'
-    # unplays, each part's in (v, r, path) order; the parts own disjoint
-    # vertices, so a stable sort by v gives the order a search of the
-    # whole board finds them in, and the boards are discovered in the
-    # same order.  A board is keyed by the mixed-radix number of its part
+    # unplays; the parts own disjoint vertices, so a stable sort by v
+    # gives the order a search of the whole board finds them in, as far
+    # as that order counts (see below), and the boards are discovered in
+    # the same order.  A board is keyed by the mixed-radix number of its part
     # boards (part p's board is key // stride % size), so a move adds a
     # fixed step to the key and changes the labels of its own part only.
     # Each move costs the budget one step per part, less than a search of
@@ -608,8 +630,15 @@ def _product_game(
     # the sows from each board, as _part_game does.
     # parts[p]: (row, stride, size), row[i] holding the unplays of part
     # p's board i as (v, key step, (move,), label change).  A part files
-    # each move under the board that sows it, so a row is put back in
-    # (v, r, path) order, the order of its (move,) tuples.
+    # each move under the board that sows it, so a row runs by target, in
+    # the order the part found them, each target's moves in (v, r, path)
+    # order.  A move to a target found earlier may sort after one to a
+    # target found later, and the row is not sorted back.  With the other
+    # parts' boards held, the product finds one part's boards in the
+    # part's own order (by induction over the product's levels, a board's
+    # level being the sum of its parts'), so that earlier target is found
+    # before this board is expanded.  Only the order of the new boards and
+    # of each edge's walks counts, and both come out as from a sorted row.
     parts = []
     stride = 1
     for part_keys, part_out in games:
@@ -618,8 +647,6 @@ def _product_game(
             for source, walk in sows:
                 change = tuple(map(sub, part_keys[grown], part_keys[source]))
                 row[source].append((walk[0].vertex, (grown - source) * stride, walk, change))
-        for moves in row:
-            moves.sort(key=itemgetter(2))
         parts.append((row, stride, len(part_keys)))
         stride *= len(part_keys)
     vertex = itemgetter(0)
@@ -836,8 +863,13 @@ def game_graph_to_dot(graph: SowingGraph, game: GameGraph) -> str:
     names = ["[" + ",".join(map(str, bin_labels(board.labels))) + "]" for board in game.boards]
     lines = ["digraph sowing_game {"]
     lines += [f'  "{name}";' for name in names]
+    # Each edge's label, kept by the identity of its moves tuple: the
+    # edges of one walk share its (move,), so its text is built once.
+    labels: dict[int, str] = {}
     for edge in game.edges:
-        label = ",".join(f"v{m.vertex}" for m in edge.moves)
+        label = labels.get(id(edge.moves))
+        if label is None:
+            label = labels[id(edge.moves)] = ",".join(f"v{m.vertex}" for m in edge.moves)
         lines.append(f'  "{names[edge.source]}" -> "{names[edge.target]}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -72,11 +72,23 @@ class TestSowingGraph:
             ({"vertices": 2, "edges": [[1, 0, 1]], "ruma": [0]}, "pair"),
             ({"vertices": 2, "edges": [[1, 0]], "ruma": 0}, "ruma"),
             ({"vertices": 2, "edges": [[1, 0]]}, "ruma"),
+            # endpoints: negative, a bool, past 128 bits, past the last vertex
+            ({"vertices": 2, "edges": [[-1, 0]], "ruma": [0]}, "edge source must be non-negative"),
+            ({"vertices": 2, "edges": [[1, True]], "ruma": [0]}, "edge target must be an integer, got bool"),
+            ({"vertices": 2, "edges": [[2**128, 0]], "ruma": [0]}, "edge source exceeds the 128-bit limit"),
+            ({"vertices": 2, "edges": [[1, 0], [0, 2]], "ruma": [0]}, r"edge \(0, 2\) references a missing vertex"),
+            # several faults: an endpoint's type before a missing vertex
+            # earlier in the list, and parallel edges before it too
+            ({"vertices": 2, "edges": [[1, 5], [1, "0"]], "ruma": [0]}, "edge target must be an integer"),
+            ({"vertices": 2, "edges": [[1, 5], [1, 0], [1, 0]], "ruma": [0]}, "parallel edges"),
         ],
     )
     def test_json_rejects_malformed_fields(self, doc, field):
-        with pytest.raises(ValueError, match=field):
+        # Only a value past 128 bits is an OverflowError; every other fault a plain ValueError.
+        error = OverflowError if "128-bit" in field else ValueError
+        with pytest.raises(error, match=field) as caught:
             SowingGraph.from_json(doc)
+        assert caught.type is error
 
     def test_board_helpers(self):
         g = make_cycle(4)

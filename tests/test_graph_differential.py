@@ -154,6 +154,39 @@ def test_path_shapes_spend_the_search_budget(graph, monkeypatch):
             assert exports(graph, ENGINE, 10_000) == expected
 
 
+# Products whose searched part, the triangle bin -> bin -> Ruma plus the
+# short cut bin -> Ruma, files sows out of (v, r, path) order: the row of
+# its board with one stone on the middle bin lists the short cut first,
+# whose target was found earlier, and then the walk through the middle
+# bin, which sorts before it.  The other part is a single bin with a
+# smaller id, or a path of two bins with larger ids.
+ROWS_OUT_OF_ORDER = [
+    SowingGraph(4, frozenset({(0, 3), (1, 2), (1, 3), (2, 3)}), frozenset({3})),
+    SowingGraph(5, frozenset({(0, 1), (0, 2), (1, 2), (3, 2), (4, 3)}), frozenset({2})),
+]
+
+
+@pytest.mark.parametrize("graph", ROWS_OUT_OF_ORDER)
+def test_product_takes_part_rows_as_filed(graph, monkeypatch):
+    # The product expands a part's sows in the order the part filed them,
+    # and still finds the boards and each edge's walks in the oracle's order.
+    rows = []
+    product_game = graph_module._product_game
+
+    def recorded(games, *rest):
+        for _, part_out in games:
+            filed = [[] for _ in part_out]
+            for sows in part_out:
+                for source, walk in sows:
+                    filed[source].append(walk)
+            rows.extend(filed)
+        return product_game(games, *rest)
+
+    monkeypatch.setattr(graph_module, "_product_game", recorded)
+    assert_same_game(graph, 10_000)
+    assert any(row != sorted(row) for row in rows)
+
+
 def test_finite_game_beyond_cap_raises_on_both():
     assert exports(make_star(3, 2), ENGINE, 10) == exports(make_star(3, 2), ORACLE, 10)
 
