@@ -42,7 +42,8 @@ MAX_WALK_STEPS = 1 << 22        # walk steps, counted, RuntimeError: graph.enume
 #
 # Why these values:
 # - PLAY_SEQUENCE_CAP: 10^7 moves are an 80 MB list; the sieve fills it
-#   in about 0.8 s at 115 MB peak RSS (CPython 3.11, 2-core VM).
+#   in 0.29-0.31 s at 104 MB peak RSS, in a fresh process (CPython 3.11.7,
+#   2-CPU Xeon).
 # - MAX_BOARD_BINS: n up to about 7e13 stones (~1.5e7 bins); the board of
 #   n near 2^128 would have ~1e19.
 # - MAX_PERIOD_INDEX: lcm(2..i+1) is the period of bins 1..i; crt's
@@ -52,9 +53,11 @@ MAX_WALK_STEPS = 1 << 22        # walk steps, counted, RuntimeError: graph.enume
 # - SEQUENCE_CAP: the terms past SCAN_CAP (1772 on) are climbed, each
 #   about L^(2/3) steps; 32,768 take 3.4-3.8 s (CPython 3.11.7, 2-CPU
 #   Xeon), as when every term was climbed.
-# - SCAN_CAP: sieve_stage holds at most scan_cap/2 ints, up to 21 MiB of
-#   peak RSS.  min_stones_sequence tiles stage 6 up to it, at most
-#   166,670 4-byte entries (0.67 MB), and climbs the terms past it.
+# - SCAN_CAP: sieve_stage returns at most scan_cap/k ints for stage k,
+#   38.5 MiB of peak RSS for the integers up to 10^6.  Past its list it
+#   holds at most a tile of stage 6, 166,670 members of 5 bytes (0.83 MB),
+#   for k > 6.  min_stones_sequence tiles stage 6 up to it the same way
+#   and climbs the terms past it.
 # - CONDITIONS_CAP: ~3.4 conditions per index: 441,212 pairs, 37 MB, 1 s.
 # - MAX_SEARCH_NODES: counted from the last completion yielded (or the
 #   start), so reconstruct_minimal's completion cap stays exact.  The

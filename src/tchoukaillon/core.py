@@ -242,6 +242,50 @@ def first_played_bin(n: int) -> int:
     raise OverflowError(f"the first played bin of {n} stones lies past the budget of {MAX_BOARD_BINS} bins")
 
 
+# Whether n lies in sieve stage 6, and if not its first played bin, depends
+# on bins 1-5 of its board, whose period is lcm(2..6) = 60.
+_PERIOD = 60
+
+
+def _first_period() -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    # Sieve one period, 1..60, down to stage 6: the first played bin of
+    # each residue mod 60 that leaves by then (0 for the stage-6 residues),
+    # and the members of stages 1-6 in the period.
+    labels = [0] * _PERIOD
+    stages = []
+    stage = list(range(1, _PERIOD + 1))
+    for k in range(1, 6):
+        stages.append(tuple(stage))
+        for n in stage[:: k + 1]:
+            labels[n % _PERIOD] = k
+        del stage[:: k + 1]
+    stages.append(tuple(stage))
+    return tuple(labels), tuple(stages)
+
+
+# _STAGES[5] is (12, 18, 22, 30, 34, 42, 48, 54, 58, 60), and the first
+# members of stages 1-5, min_stones(1..5), are (1, 2, 4, 6, 10).
+_LABELS, _STAGES = _first_period()
+_FIRST_TERMS = tuple(stage[0] for stage in _STAGES[:5])
+
+
+def _stage6_tile(bound: int):
+    # Stage 6 up to *bound*, in whole periods, as two arrays that are
+    # always cut together: member i is tops[i] + residues[i], the start of
+    # its period and its residue.  One array of the period starts fills
+    # every column of tops, so the tile makes one Python int per period,
+    # not one per member.
+    from array import array  # loaded only by callers that list terms or elements
+
+    residues = _STAGES[5]
+    width, periods = len(residues), -(-bound // _PERIOD)
+    starts = array("I", range(0, _PERIOD * periods, _PERIOD))
+    tops = array("I", [0]) * (width * periods)
+    for j in range(width):
+        tops[j::width] = starts
+    return tops, array("B", residues) * periods
+
+
 def play_sequence(n: int, cap: int = PLAY_SEQUENCE_CAP) -> list[int]:
     """The bins played, in order, to clear the winning board with *n* stones.
 
@@ -249,27 +293,50 @@ def play_sequence(n: int, cap: int = PLAY_SEQUENCE_CAP) -> list[int]:
     n - x is the first played bin of the board with x stones.  Those are
     labelled by the sieve: stage k+1 drops every (k+1)-th element of
     stage k, starting with the first, and the x dropped there are the
-    ones whose first played bin is k.  Odd x play bin 1, so the sieve
-    starts at stage 2, the even x, held as their output positions in an
-    array.  A stage of about n/k elements is sliced twice per step, about
-    2*sqrt(n) steps, for O(n log n) slice work in C plus n Python stores.
-    Memory is the result, one 8-byte reference per move, and the stage,
-    4 bytes for each of n/2 positions: about 115 MB of peak RSS at the
-    default cap of 10^7 moves.  Refuses n above *cap*.
+    ones whose first played bin is k.  Down to stage 6 the labels repeat
+    with period 60, so one 60-entry row, turned to n mod 60, is repeated
+    into the one n-entry list and cut to length.  Only the n/6 members of
+    stage 6 are sieved on, held as output positions in an array; a stage
+    of about n/k elements is sliced twice per step until it has at most
+    k + 1 left, which take the labels k, k + 1, ... in order: about
+    2*sqrt(n) steps, for O(n log n) slice work in C plus n/6 Python
+    stores.  Memory is the result, one 8-byte reference per move, and
+    the stage, 4 bytes per position: 104 MB of peak RSS and about 0.3 s
+    in a fresh process at the default cap of 10^7 moves.  Refuses n
+    above *cap*.
     """
     as_uint(n, "stone count")
     if n > as_uint(cap, "move cap"):
         raise ValueError(f"play_sequence refuses n={n} above the cap of {cap} moves")
     from array import array  # loaded only by callers that list moves
 
-    out = [1] * n
-    stage = array("I", range(n - 2, -1, -2))
-    k = 2
-    while stage:
+    # Entry n - x is _LABELS[x % 60] wherever x leaves by stage 6.
+    shift = n % _PERIOD
+    out = list(_LABELS[shift::-1] + _LABELS[:shift:-1]) * -(-n // _PERIOD)
+    del out[n:]
+    # Stage 6 up to n, as the negative positions -x, which index entry
+    # n - x: whole periods, then cut at n.  Up to 64 periods are listed
+    # member by member; more are filled one column per residue, which
+    # costs more per call and less per member.
+    residues = _STAGES[5]
+    width, periods = len(residues), -(-n // _PERIOD)
+    if periods <= 64:
+        stage = array("i", [top - r for top in range(0, -_PERIOD * periods, -_PERIOD) for r in residues])
+    else:
+        stage = array("i", [0]) * (width * periods)
+        for j, residue in enumerate(residues):
+            stage[j::width] = array("i", list(range(-residue, -_PERIOD * periods - 1, -_PERIOD)))
+    del stage[width * (n // _PERIOD) + _LABELS[1 : shift + 1].count(0) :]
+    k = 6
+    while len(stage) > k + 1:
         for p in stage[:: k + 1]:
             out[p] = k
         del stage[:: k + 1]
         k += 1
+    # Once stage k has at most k + 1 members, each step drops only the
+    # first, so the members left are labelled k, k + 1, ... in order.
+    for k, p in enumerate(stage, k):
+        out[p] = k
     return out
 
 

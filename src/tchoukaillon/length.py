@@ -8,29 +8,10 @@ them has a closed nested-ceiling form.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from operator import add
 
 from .checked import MAX_BOARD_BINS, SCAN_CAP, SEQUENCE_CAP, UINT128_MAX, as_uint
-from .core import EMPTY_BOARD, Board, _stage_element, _winning_board
-
-
-# Whether n lies in sieve stage 6 depends on bins 1-5 of its board, whose
-# period is lcm(2..6) = 60.
-_PERIOD = 60
-
-
-def _first_period() -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Sieve one period down to stage 6: the first elements of stages 1-5
-    # and the residues of stage 6.
-    stage = list(range(1, _PERIOD + 1))
-    firsts = []
-    for k in range(1, 6):
-        firsts.append(stage[0])
-        del stage[:: k + 1]
-    return tuple(firsts), tuple(stage)
-
-
-# (1, 2, 4, 6, 10) and (12, 18, 22, 30, 34, 42, 48, 54, 58, 60).
-_FIRST_TERMS, _STAGE6_RESIDUES = _first_period()
+from .core import _FIRST_TERMS, EMPTY_BOARD, Board, _stage6_tile, _stage_element, _winning_board
 
 
 def enumerate_boards(length: int) -> Iterator[Board]:
@@ -104,11 +85,15 @@ def min_stones_sequence(max_length: int, cap: int = SEQUENCE_CAP) -> list[int]:
     takes a prefix of stage k to the prefix of stage k+1 below the same
     bound.  Terms 1-5 come from a table; stage 6 is tiled from its
     residues mod 60 up to min_stones(max_length) or SCAN_CAP, whichever
-    is smaller, rounded up to a whole period (at most about 167k entries
-    of 4 bytes), and sieved one stage per term.  Once the stage is empty
-    the remaining terms lie past SCAN_CAP, and each is climbed as
-    min_stones does, with no error: at the default SCAN_CAP of 10^6,
-    terms 1-1771 are sieved and the rest climbed.
+    is smaller, rounded up to a whole period, and sieved one stage per
+    term.  The tile is two arrays cut together, the period starts in 4
+    bytes and the residues in 1, at most about 167k entries each, and it
+    is built with one Python int per period, not one per entry.  Once
+    stage k has at most k + 1 members, each step drops only the first,
+    so the next terms are read off in order.  Those past the stage's
+    bound lie past SCAN_CAP, and each is climbed as min_stones does, with
+    no error: at the default SCAN_CAP of 10^6, terms 1-1771 are sieved
+    and the rest climbed.
 
     Refused up front, before any term: OverflowError for a length beyond
     the bin budget, as min_stones does, and ValueError for more than
@@ -123,22 +108,20 @@ def min_stones_sequence(max_length: int, cap: int = SEQUENCE_CAP) -> list[int]:
     terms = list(_FIRST_TERMS[:max_length])
     if max_length <= len(_FIRST_TERMS):
         return terms
-    from array import array  # loaded only by callers that list terms
-
-    # Stage 6 up to the last term or SCAN_CAP, in whole periods, one
-    # column per residue.
-    periods = -(-min(_stage_element(max_length, 1, SCAN_CAP), SCAN_CAP) // _PERIOD)
-    width = len(_STAGE6_RESIDUES)
-    stage = array("I", [0]) * (width * periods)
-    for j, residue in enumerate(_STAGE6_RESIDUES):
-        stage[j::width] = array("I", range(residue, _PERIOD * periods + 1, _PERIOD))
-    for length in range(6, max_length + 1):
-        if not stage:
-            # The rest lie past the stage's bound: climb to each.
-            terms.extend(_stage_element(rest, 1, UINT128_MAX) for rest in range(length, max_length + 1))
-            break
-        terms.append(stage[0])
-        del stage[:: length + 1]
+    # Stage 6 up to the last term or SCAN_CAP, whichever is smaller.
+    tops, residues = _stage6_tile(min(_stage_element(max_length, 1, SCAN_CAP), SCAN_CAP))
+    length = 6
+    while length <= max_length and len(tops) > length + 1:
+        terms.append(tops[0] + residues[0])
+        del tops[:: length + 1]
+        del residues[:: length + 1]
+        length += 1
+    # Once stage k has at most k + 1 members, each step drops only the
+    # first, so the terms left are the members in order; those past the
+    # stage's bound are climbed.
+    del tops[max_length - length + 1 :], residues[max_length - length + 1 :]
+    terms.extend(map(add, tops, residues))
+    terms.extend(_stage_element(rest, 1, UINT128_MAX) for rest in range(len(terms) + 1, max_length + 1))
     return terms
 
 

@@ -2,8 +2,9 @@
 
 These are the per-element forms that the library's arithmetic replaced:
 the residue walk one bin at a time, the nested ceiling one index at a
-time, the sieve as a scan over every stone count, the first played
-bins of a whole clearing one walk per board, the leftmost empty bin of
+time, the sieve as a scan over every stone count or as the position
+rule from stage 2, the first played bins of a whole clearing one walk
+per board or that rule, the leftmost empty bin of
 the board one stone smaller, the boards of one length by
 recursion, and the bin budget of those boards counted down one board at
 a time.  The differential tests compare the library against them.
@@ -49,6 +50,31 @@ def first_played_bin_by_walk(n: int) -> int:
 def play_sequence_by_walks(n: int) -> list[int]:
     """The bins played to clear the board with n stones: one walk per board on the way."""
     return [first_played_bin_by_walk(k) for k in range(n, 0, -1)]
+
+
+def play_sequence_from_stage_two(n: int) -> list[int]:
+    """The bins played to clear the board with n stones: the position rule from stage 2.
+
+    Odd x play bin 1; the even x are sieved as their output positions
+    n - x, and the x dropped at stage k play bin k.
+    """
+    out = [1] * n
+    stage = list(range(n - 2, -1, -2))
+    k = 2
+    while stage:
+        for p in stage[:: k + 1]:
+            out[p] = k
+        del stage[:: k + 1]
+        k += 1
+    return out
+
+
+def sieve_stage_from_stage_two(k: int, last: int) -> list[int]:
+    """The elements of stage k up to *last*: the even numbers, sieved k - 2 times."""
+    stage = list(range(1, last + 1)) if k == 1 else list(range(2, last + 1, 2))
+    for j in range(2, k):
+        del stage[:: j + 1]
+    return stage
 
 
 def first_empty_bin_of(n: int) -> int:

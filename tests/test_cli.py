@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tchoukaillon import UINT128_MAX, Board, board_from_stones, make_star
+from tchoukaillon import UINT128_MAX, Board, board_from_stones, crt, make_star
 from tchoukaillon.cli import entry, main
 
 from golden import INITIAL_BOARDS
@@ -284,13 +284,21 @@ class TestReconstructCommand:
         assert code == 1
         assert out.startswith("infeasible")
 
-    def test_broken_high_window_is_infeasible_promptly(self, capsys):
+    def test_broken_high_window_is_infeasible_promptly(self, capsys, monkeypatch):
         # m_41 + m_42 is odd, which breaks the window (42, 2)
         start = time.perf_counter()
         code, out, _ = run(capsys, "reconstruct", "m40=0", "m41=0", "m42=1")
         assert time.perf_counter() - start < 0.5
         assert code == 1
         assert out.startswith("infeasible:")
+        # The pinned-window pre-check answers before the search takes a
+        # node, whatever the machine's load: with no node to spend, the
+        # answer stands, while a query that needs the search is refused.
+        monkeypatch.setattr(crt, "MAX_SEARCH_NODES", 0)
+        code, out, _ = run(capsys, "reconstruct", "m40=0", "m41=0", "m42=1")
+        assert code == 1
+        assert out.startswith("infeasible:")
+        assert run(capsys, "reconstruct", "m3=1", "m7=2")[0] == 2
 
     def test_search_past_node_budget_is_usage_error(self, capsys):
         # the unbounded search ran past 120 s; the budget refuses in about 2 s

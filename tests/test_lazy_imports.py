@@ -148,9 +148,12 @@ def test_table_format_loads_no_json(argv, path3):
     assert loaded_of({"json"}, argv, path3) == []
 
 
-# `array` is loaded by the calls that list moves or terms (play_sequence,
-# min_stones_sequence), not by the commands that print one answer.
-@pytest.mark.parametrize("argv", [("nf", "6"), ("nf", "6", "--bounds"), ("board", "15")], ids=" ".join)
+# `array` is loaded by the calls that sieve stage 6 (play_sequence,
+# min_stones_sequence, sieve_stage past stage 6), not by the commands that
+# print one answer or a stage tiled straight from its period.
+@pytest.mark.parametrize(
+    "argv", [("nf", "6"), ("nf", "6", "--bounds"), ("board", "15"), ("sieve", "3", "9")], ids=" ".join
+)
 def test_single_answer_commands_load_no_array(argv, path3):
     assert loaded_of({"array"}, argv, path3) == []
 
@@ -158,6 +161,10 @@ def test_single_answer_commands_load_no_array(argv, path3):
 def test_sequence_command_loads_array(path3):
     # The check above would pass vacuously if the child never reported it.
     assert loaded_of({"array"}, ("nf", "--sequence", "10"), path3) == ["array"]
+
+
+def test_sieve_past_stage_six_loads_array(path3):
+    assert loaded_of({"array"}, ("sieve", "9", "3"), path3) == ["array"]
 
 
 # The names a tracer wraps on the cli module, each with a command that calls it.

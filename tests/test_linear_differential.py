@@ -1,10 +1,11 @@
 """The linear layer's arithmetic fast paths against the per-element oracles.
 
 ``board_from_stones`` walks runs of bins, ``min_stones`` runs of equal
-ceiling steps, ``sieve_stage`` the position rule up to its last
-element, ``play_sequence`` the same rule over every stone count,
-``min_stones_sequence`` the rule from a tiled stage 6 up to the scan cap
-and the climb past it, and ``enumerate_boards`` one loop over the bins,
+ceiling steps, ``sieve_stage`` tiles a stage from its period or sieves
+a tiled stage 6, ``play_sequence`` labels every stone count from a
+60-entry row and a tiled stage 6, ``min_stones_sequence`` runs the
+position rule from a tiled stage 6 up to the scan cap and the climb past
+it, and ``enumerate_boards`` one loop over the bins,
 and refuses at the call the lengths whose boards pass the bin budget;
 each must agree exactly with the slow form it replaced, kept in
 ``linear_oracle``.
@@ -13,6 +14,7 @@ each must agree exactly with the slow form it replaced, kept in
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -34,8 +36,10 @@ from linear_oracle import (
     first_empty_bin_of,
     min_stones_by_loop,
     play_sequence_by_walks,
+    play_sequence_from_stage_two,
     residue_walk,
     sieve_stage_by_scan,
+    sieve_stage_from_stage_two,
 )
 
 
@@ -82,10 +86,12 @@ def test_min_stones_sequence_across_the_tile_start_and_the_hand_off():
         assert min_stones_sequence(max_length) == loop[:max_length], max_length
 
 
-@pytest.mark.parametrize("scan_cap", [59, 60, 61, 119, 1000])
+@pytest.mark.parametrize("scan_cap", [59, 60, 61, 119, 1000, 3000])
 def test_min_stones_sequence_hands_off_at_any_scan_cap(monkeypatch, scan_cap):
     # A small cap empties the tiled stage early, so the climb takes over
-    # at a different term for each cap, within one period or many.
+    # at a different term for each cap, within one period or many.  At
+    # 3000 stage 48 keeps 50 members below the cap, and its step drops
+    # two of them: the first and the last, whose term is then climbed.
     loop = [min_stones_by_loop(length) for length in range(1, 301)]
     monkeypatch.setattr(length_module, "SCAN_CAP", scan_cap)
     for max_length in range(1, 301):
@@ -160,6 +166,48 @@ def test_play_sequence_of_a_hundred_thousand_is_a_list_of_ints():
     got = play_sequence(n)
     assert type(got) is list and {type(move) for move in got} == {int}
     assert got == play_sequence_by_walks(n)
+
+
+def test_play_sequence_against_the_sieve_from_stage_two():
+    # Every residue of n mod 60 at sizes the walks cannot reach.
+    rng = random.Random(5)
+    for n in [10**6, *(60 * rng.randrange(10, 1700) + r for r in range(60))]:
+        assert play_sequence(n) == play_sequence_from_stage_two(n), n
+
+
+@pytest.mark.parametrize("k", [7, 8, 9, 13, 60, 400, 1500])
+def test_sieve_stage_past_stage_six_against_the_sieve_from_stage_two(k):
+    # Counts that end a prefix within one period of stage 6 and far past it.
+    scan_cap = 2 * 10**6
+    counts = (1, 2, 9, 10, 11, 59, 60, 61, 997, scan_cap // (2 * k))
+    for count in counts:
+        expected = sieve_stage_from_stage_two(k, sieve_stage(k, count, scan_cap)[-1])
+        assert len(expected) == count and sieve_stage(k, count, scan_cap) == expected, count
+
+
+def peak_over_held(call) -> float:
+    """tracemalloc's peak during call() over the bytes its result holds."""
+    call()  # a first call's imports are not the call's own cost
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak / held
+
+
+def test_play_sequence_builds_its_list_once():
+    # The result holds one reference per move.  A list built twice peaks
+    # near twice that, and a sieve from the n/2 even positions at 1.35 times.
+    assert peak_over_held(lambda: play_sequence(10**5)) < 1.25
+
+
+def test_sieve_stage_holds_no_list_of_its_stage():
+    # The last element is near 960,000.  Sieving the even numbers up to it
+    # as a list of ints peaks at 20.5 MB for a 3.3 MB result.
+    assert peak_over_held(lambda: sieve_stage(12, 80000)) < 2
 
 
 def test_enumerate_boards_every_length_up_to_four_hundred():

@@ -80,6 +80,14 @@ class TestSieveStage:
             sieve_stage(k, count)
         assert time.perf_counter() - start < 0.05
 
+    def test_tile_past_32_bits_is_refused_before_it_is_built(self):
+        # Past stage 6 the stage is tiled in 4-byte entries; the last of
+        # these 10^9 elements of stage 7 is 7,000,000,008 > 2^32 - 1.
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="^stage 7 up to 7000000008 passes the 32-bit entries"):
+            sieve_stage(7, 10**9, scan_cap=2**40)
+        assert time.perf_counter() - start < 0.5
+
 
 class TestSieveStep:
     def test_published_transition(self):
